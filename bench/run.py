@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import resource
@@ -110,21 +111,20 @@ class Checker:
         self.workload = workload
         self.attempted = 0
         self.failed = 0
-        self.passes: list[list[tuple[object, float]]] = []
+        # shortest time of each operation so far, in workload.ops order
+        self.shortest = [math.inf] * len(workload.ops)
         self.failures: list[str] = []
 
     def best(self) -> list[tuple[object, float]]:
         """Each operation with its shortest time over the passes."""
-        return [
-            (records[0][0], min(seconds for _, seconds in records))
-            for records in zip(*self.passes)
-        ]
+        return list(zip(self.workload.ops, self.shortest))
 
     def __call__(self, rows) -> None:
         failed = 0
         outputs = []
-        self.passes.append([(op, seconds) for op, seconds, _, _ in rows])
-        for op, seconds, output, error in rows:
+        for i, (op, seconds, output, error) in enumerate(rows):
+            if seconds < self.shortest[i]:
+                self.shortest[i] = seconds
             if error is None:
                 try:
                     ok = op.check(output)
@@ -259,13 +259,12 @@ def run_workload(args, lib, expected: dict) -> tuple[dict, dict]:
         values = {
             "setup_s": statistics.median(setups),
             "wall_s": wall,
-            "items_per_s": sum(op.items for op in workload.ops) / wall,
             "call_p50_ms": 1e3 * statistics.median(calls),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         }
         units = end_units
         detail["samples"] = {"passes": len(passes), "calls_per_pass": len(workload.ops),
-                             "setup_runs": len(setups), "item_unit": workload.item_unit}
+                             "setup_runs": len(setups)}
         named = {"setup_s": (values["setup_s"], "s"), "wall_s": (values["wall_s"], "s"),
                  "peak_rss_mb": (values["peak_rss_mb"], "MB"),
                  **workload.detail(best)}

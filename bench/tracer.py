@@ -82,8 +82,7 @@ class Span:
 class Tracer:
     """Holds the spans of one traced run and the patches that feed them."""
 
-    def __init__(self, package: str = "mahonian"):
-        self.package = package
+    def __init__(self):
         self.spans: list[Span] = []
         self.root_calls: dict[str, list] = {}
         self._stack: list[Span] = []
@@ -181,10 +180,10 @@ class Tracer:
     def install(self) -> list[str]:
         """Wrap every traced function under every name bound to it; returns
         the traced names found."""
-        modules = {"": importlib.import_module(self.package)}
+        modules = {"": importlib.import_module("mahonian")}
         for layer in LAYERS:
             try:
-                modules[layer] = importlib.import_module(f"{self.package}.{layer}")
+                modules[layer] = importlib.import_module(f"mahonian.{layer}")
             except ModuleNotFoundError:
                 continue
         default_rule = getattr(

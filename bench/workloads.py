@@ -49,7 +49,7 @@ SWEEP = {
 CHAIN_BLOCKS = ((4, 5), (3,), (1, 2))
 BCODE_ALPHA = {"full": (2, 1, 1, 3, 1), "tiny": (1, 1, 1, 2, 1)}
 # Words and codes of the worked class that one run round-trips, each.
-BCODE_SAMPLE = {"full": 300, "tiny": 60}
+BCODE_SAMPLE = {"full": 500, "tiny": 60}
 TIE_FLAGS = (None, "copy-label", "leftmost", "rightmost")
 
 
@@ -127,7 +127,6 @@ def edges_text(pairs) -> str:
 
 class Workload:
     name = ""
-    item_unit = ""
 
     def __init__(self, lib, seed: int, size: str, expected: dict):
         if size not in SIZES:
@@ -180,7 +179,6 @@ class DistLarge(Workload):
     permutations, every statistic, all three tie rules."""
 
     name = "dist-large"
-    item_unit = "words"
 
     def __init__(self, lib, seed, size, expected):
         super().__init__(lib, seed, size, expected)
@@ -298,7 +296,6 @@ class SweepN3(Workload):
     """``verify_theorem1/2`` over every relation on three letters."""
 
     name = "sweep-n3"
-    item_unit = "relations"
 
     def __init__(self, lib, seed, size, expected):
         super().__init__(lib, seed, size, expected)
@@ -411,7 +408,6 @@ class BcodeRoundtrip(Workload):
     class, and decode then encode on seeded codes."""
 
     name = "bcode-roundtrip"
-    item_unit = "round trips"
 
     def __init__(self, lib, seed, size, expected):
         super().__init__(lib, seed, size, expected)
@@ -556,7 +552,6 @@ class CliMix(Workload):
     """Many short in-process ``run_cli`` requests with captured output."""
 
     name = "cli-mix"
-    item_unit = "requests"
 
     def __init__(self, lib, seed, size, expected):
         super().__init__(lib, seed, size, expected)
