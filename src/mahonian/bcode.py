@@ -175,6 +175,10 @@ def validate_code(relation: Relation, alpha: MultiplicityVector, code: BCode) ->
     parts at most the later blocks' total multiplicity; markers are 0 for
     one-letter blocks and a copy position for two-letter blocks."""
     _, info = _block_structure(relation, alpha)
+    _check_code(info, code)
+
+
+def _check_code(info: list[_BlockInfo], code: BCode) -> None:
     if len(code.partitions) != len(info):
         raise InvalidCode(
             f"expected {len(info)} partitions, got {len(code.partitions)}"
@@ -221,8 +225,8 @@ def bcode_decode(relation: Relation, alpha: MultiplicityVector, code: BCode) -> 
     move the small copies, and the top letter finally moves left by its part
     plus the number of copies that sat right of it, undoing its head start.
     """
-    bp, info = _block_structure(relation, alpha)
-    validate_code(relation, alpha, code)
+    _, info = _block_structure(relation, alpha)
+    _check_code(info, code)
     word: list[int] = []
     for j in range(len(info) - 1, -1, -1):
         block = info[j]

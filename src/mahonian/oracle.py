@@ -1,22 +1,37 @@
 """Brute-force distributions and exhaustive equidistribution sweeps.
 
-Everything here enumerates: distributions walk a whole rearrangement class,
-the verifiers walk every relation on the alphabet (all 2^(n*n) bitmasks).
-That is the point - these are the ground-truth checks the structural
-predicates in relations.py are tested against.
+Distributions walk a whole rearrangement class and score every word with
+the per-word statistic functions.  The verifiers walk every relation on the
+alphabet (all 2^(n*n) bitmasks) and compare two routes: the structural
+predicates in relations.py, and whether the statistics are equidistributed
+over the class.  These are the ground-truth checks the predicates are
+tested against.
 
 verify_theorem1 sweeps the equivalence "inv and maj variants are
 equidistributed over the class iff the relation is essentially
 bipartitional"; verify_theorem2 adds the sorting index on one side and the
 sorting conditions on the other.  Both return a VerificationReport listing
 any relation where predicate and enumeration disagree.
+
+A sweep never reruns the per-word statistics per relation.  Every statistic
+is a sum over the relation's pairs of a per-word profile (see
+statistics.inversion_profile), so the sweep streams the class once, keeps
+each distinct profile with its multiplicity, and visits the masks in
+Gray-code order: each step flips one pair and moves every value by that
+pair's profile entry.  Work is sharded over contiguous ranges (of class
+ranks for a distribution, of Gray-code ranks for a sweep), with at most one
+worker process per CPU.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
+from operator import add, sub
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -38,6 +53,9 @@ from .statistics import (
     graphical_inversions,
     graphical_major_index,
     graphical_sorting_index,
+    inversion_profile,
+    major_profile,
+    sorting_profile,
 )
 from .words import (
     DEFAULT_MAX_CLASS,
@@ -83,6 +101,30 @@ def _evaluator(stat: str, alpha: MultiplicityVector, relation, tie_rule: str):
     return lambda letters: graphical_sorting_index(relation, letters, tie_rule)
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise InvalidArguments(f"jobs must be at least 1, got {jobs}")
+
+
+def _run_sharded(worker, job: tuple, count: int, jobs: int) -> list:
+    """worker(job + (start, stop)) over contiguous shards of range(count),
+    results in shard order.
+
+    One shard per worker process, and min(jobs, cpu count, count) of them,
+    so a large jobs value never starts more processes than the machine has
+    CPUs; with a single shard the worker runs in this process.
+    """
+    workers = min(jobs, os.cpu_count() or 1, count)
+    batches = [
+        job + (count * t // workers, count * (t + 1) // workers)
+        for t in range(workers)
+    ]
+    if workers == 1:
+        return [worker(batches[0])]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, batches))
+
+
 def _histogram_to_polynomial(histogram: dict[int, int]) -> QPolynomial:
     if not histogram:
         return QPolynomial.zero()
@@ -119,6 +161,7 @@ def distribution(
 ) -> QPolynomial:
     """Distribution polynomial of the statistic over the class: the
     coefficient of q^k counts the words with value k."""
+    _check_jobs(jobs)
     size = class_size(alpha)
     if size > max_class:
         raise ClassTooLarge(f"class has {size} words, cap is {max_class}")
@@ -130,17 +173,11 @@ def distribution(
             if relation is not None
             else None
         )
-        bounds = [size * t // jobs for t in range(jobs + 1)]
-        batches = [
-            (stat, alpha.counts, spec, tie_rule, bounds[t], bounds[t + 1])
-            for t in range(jobs)
-            if bounds[t] < bounds[t + 1]
-        ]
+        job = (stat, alpha.counts, spec, tie_rule)
         histogram: dict[int, int] = {}
-        with ProcessPoolExecutor(max_workers=len(batches)) as pool:
-            for part in pool.map(_histogram_worker, batches):
-                for value, count in part.items():
-                    histogram[value] = histogram.get(value, 0) + count
+        for part in _run_sharded(_histogram_worker, job, size, jobs):
+            for value, count in part.items():
+                histogram[value] = histogram.get(value, 0) + count
     else:
         evaluate = _evaluator(stat, alpha, relation, tie_rule)
         histogram = {}
@@ -190,15 +227,19 @@ def relation_to_mask(relation: Relation) -> int:
     return mask
 
 
-def relation_universe(
-    n: int, max_alphabet: int = DEFAULT_MAX_ALPHABET
-) -> Iterator[Relation]:
-    """All 2^(n*n) relations on 1..n in mask order."""
+def _check_alphabet(n: int, max_alphabet: int) -> None:
     if n > max_alphabet:
         raise UniverseTooLarge(
             f"alphabet {n} sweeps 2^{n * n} relations; "
             f"raise max_alphabet (currently {max_alphabet}) to allow this"
         )
+
+
+def relation_universe(
+    n: int, max_alphabet: int = DEFAULT_MAX_ALPHABET
+) -> Iterator[Relation]:
+    """All 2^(n*n) relations on 1..n in mask order."""
+    _check_alphabet(n, max_alphabet)
     for mask in range(1 << (n * n)):
         yield relation_from_mask(n, mask)
 
@@ -274,27 +315,58 @@ class VerificationReport:
         }
 
 
+def _tally(values: list[int], multiplicities: list[int]) -> dict[int, int]:
+    histogram: dict[int, int] = {}
+    for value, count in zip(values, multiplicities):
+        histogram[value] = histogram.get(value, 0) + count
+    return histogram
+
+
 def _sweep_worker(job) -> list[tuple[int, bool, bool]]:
+    """Disagreements among the masks at Gray-code ranks [start, stop).
+
+    Each class word contributes one profile per statistic (see
+    statistics.inversion_profile), identical profiles merged with their
+    multiplicities; a statistic's value under a relation is its profile
+    summed over the relation's bits.  Rank k visits mask k ^ (k >> 1), which
+    differs from the previous mask in one bit b, so every value moves by
+    +-P[b] per step.
+    """
     check, n, counts, tie_rule, max_class, start, stop = job
     alpha = MultiplicityVector(counts)
-    words = [w.letters for w in rearrangement_class(alpha, max_class)]
-    bases = ("inv", "maj") if check == CHECK_INV_MAJ else ("inv", "maj", "sor")
+    builders = [inversion_profile, major_profile]
+    if check == CHECK_INV_MAJ_SOR:
+        builders.append(partial(sorting_profile, tie_rule=tie_rule))
+    tallies: list[dict[tuple[int, ...], int]] = [{} for _ in builders]
+    for word in rearrangement_class(alpha, max_class):
+        for build, tally in zip(builders, tallies):
+            profile = build(n, word.letters)
+            tally[profile] = tally.get(profile, 0) + 1
+    multiplicities = [list(tally.values()) for tally in tallies]
+    # columns[s][b]: entry b of every distinct profile of statistic s
+    columns = [list(zip(*tally)) for tally in tallies]
+
+    mask = start ^ (start >> 1)
+    bits = [b for b in range(n * n) if mask >> b & 1]
+    values = [
+        [sum(profile[b] for b in bits) for profile in tally] for tally in tallies
+    ]
     found = []
-    for mask in range(start, stop):
+    for rank in range(start, stop):
+        if rank > start:
+            bit = (rank & -rank).bit_length() - 1
+            mask ^= 1 << bit
+            step = add if mask >> bit & 1 else sub
+            values = [
+                list(map(step, stat_values, stat_columns[bit]))
+                for stat_values, stat_columns in zip(values, columns)
+            ]
+        first = _tally(values[0], multiplicities[0])
+        equal = all(
+            _tally(stat_values, stat_counts) == first
+            for stat_values, stat_counts in zip(values[1:], multiplicities[1:])
+        )
         relation = relation_from_mask(n, mask)
-        histograms = []
-        for base in bases:
-            histogram: dict[int, int] = {}
-            for letters in words:
-                if base == "inv":
-                    value = graphical_inversions(relation, letters)
-                elif base == "maj":
-                    value = graphical_major_index(relation, letters)
-                else:
-                    value = graphical_sorting_index(relation, letters, tie_rule)
-                histogram[value] = histogram.get(value, 0) + 1
-            histograms.append(histogram)
-        equal = all(h == histograms[0] for h in histograms[1:])
         if check == CHECK_INV_MAJ:
             predicate = is_essentially_bipartitional(relation, alpha) is not None
         else:
@@ -315,31 +387,16 @@ def _verify(
 ) -> VerificationReport:
     if alpha.n != n:
         raise AlphabetMismatch(f"alpha has n={alpha.n}, sweep asked for n={n}")
-    if n > max_alphabet:
-        raise UniverseTooLarge(
-            f"alphabet {n} sweeps 2^{n * n} relations; "
-            f"raise max_alphabet (currently {max_alphabet}) to allow this"
-        )
+    _check_alphabet(n, max_alphabet)
+    _check_jobs(jobs)
     size = class_size(alpha)
     if size > max_class:
         raise ClassTooLarge(f"class has {size} words, cap is {max_class}")
     count = 1 << (n * n)
     started = time.perf_counter()
     worker_rule = tie_rule if tie_rule is not None else DEFAULT_TIE_RULE
-    if jobs > 1:
-        bounds = [count * t // jobs for t in range(jobs + 1)]
-        batches = [
-            (check, n, alpha.counts, worker_rule, max_class, bounds[t], bounds[t + 1])
-            for t in range(jobs)
-            if bounds[t] < bounds[t + 1]
-        ]
-        found: list[tuple[int, bool, bool]] = []
-        with ProcessPoolExecutor(max_workers=len(batches)) as pool:
-            for part in pool.map(_sweep_worker, batches):
-                found.extend(part)
-        found.sort()
-    else:
-        found = _sweep_worker((check, n, alpha.counts, worker_rule, max_class, 0, count))
+    job = (check, n, alpha.counts, worker_rule, max_class)
+    found = sorted(chain.from_iterable(_run_sharded(_sweep_worker, job, count, jobs)))
     elapsed = time.perf_counter() - started
     disagreements = tuple(
         Disagreement(relation_from_mask(n, mask), predicate, equal)

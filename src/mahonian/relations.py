@@ -41,11 +41,16 @@ class Relation:
             raise InvalidArguments("alphabet size must be >= 1")
         if not isinstance(self.edges, frozenset):
             object.__setattr__(self, "edges", frozenset(self.edges))
+        n = self.n
         for pair in self.edges:
-            if (
-                not isinstance(pair, tuple)
-                or len(pair) != 2
-                or not all(isinstance(v, int) and 1 <= v <= self.n for v in pair)
+            # type() rather than isinstance(): bool is an int subclass
+            if not (
+                isinstance(pair, tuple)
+                and len(pair) == 2
+                and type(pair[0]) is int
+                and type(pair[1]) is int
+                and 1 <= pair[0] <= n
+                and 1 <= pair[1] <= n
             ):
                 raise InvalidArguments(f"edge {pair!r} outside 1..{self.n} x 1..{self.n}")
 
@@ -246,15 +251,27 @@ class EssentialWitness:
 def is_essentially_bipartitional(
     relation: Relation, alpha: MultiplicityVector, max_free: int = 20
 ) -> EssentialWitness | None:
-    """Search loop adjustments on multiplicity-1 letters for a bipartitional
-    variant of the relation.
+    """Find a loop adjustment on multiplicity-1 letters that makes the
+    relation bipartitional.
 
-    Every assignment of loop-present/loop-absent to the free letters
-    F = {x : alpha_x = 1} is tried (letters outside F keep their loops as
-    given).  Assignments are scanned in binary-counter order with bit b of
-    the counter giving the status of the b-th smallest letter of F, bit set
-    meaning loop present, so the all-loops-absent variant is tried first.
-    The first bipartitional variant found is returned as a witness.
+    Only the loops of the free letters F = {x : alpha_x = 1} may change
+    (letters outside F keep their loops as given).  The witness is the
+    variant a scan of every loop assignment to F would meet first, scanning
+    in binary-counter order with bit b for the b-th smallest letter of F
+    (bit set meaning loop present, so all-loops-absent comes first), and it
+    is found without the scan:
+
+    * grouping letters into blocks and ordering the blocks never reads a
+      loop, so every variant has the same candidate blocks;
+    * a free letter in a block of two or more letters must carry the
+      block's flag, which its internal pairs fix: loop present exactly when
+      some other letter has edges to and from it;
+    * a free letter alone in its block is valid either way, and has no such
+      partner, since pairs across blocks run one way only.
+
+    The valid assignments thus form a product, and the first one scanned
+    gives each free letter a loop exactly when it has such a partner; if
+    that variant is not bipartitional, none is.  max_free caps |F|.
     """
     if alpha.n != relation.n:
         raise AlphabetMismatch(
@@ -265,20 +282,23 @@ def is_essentially_bipartitional(
         raise SearchSpaceTooLarge(
             f"{len(free)} free letters exceed the cap of {max_free}"
         )
-    base = relation.edges - {(x, x) for x in free}
-    for counter in range(1 << len(free)):
-        present = {free[b] for b in range(len(free)) if counter >> b & 1}
-        variant = Relation(relation.n, base | {(x, x) for x in present})
-        bp = to_ordered_bipartition(variant)
-        if bp is not None:
-            removed = frozenset(
-                x for x in free if (x, x) in relation.edges and x not in present
-            )
-            added = frozenset(
-                x for x in present if (x, x) not in relation.edges
-            )
-            return EssentialWitness(removed, added, bp)
-    return None
+    edges = relation.edges
+    present = {
+        x
+        for x in free
+        if any(
+            (x, y) in edges and (y, x) in edges
+            for y in range(1, relation.n + 1)
+            if y != x
+        )
+    }
+    variant = (edges - {(x, x) for x in free}) | {(x, x) for x in present}
+    bp = to_ordered_bipartition(Relation(relation.n, variant))
+    if bp is None:
+        return None
+    removed = frozenset(x for x in free if (x, x) in edges and x not in present)
+    added = frozenset(x for x in present if (x, x) not in edges)
+    return EssentialWitness(removed, added, bp)
 
 
 def effective_core(relation: Relation, alpha: MultiplicityVector) -> Relation:

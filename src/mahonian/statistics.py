@@ -24,6 +24,12 @@ several times.  Three deterministic rules are provided:
 The rules genuinely differ on words with repeated letters - they can visit
 different intermediate words and produce different index values - so every
 sorting-based result records which rule it used.
+
+All three statistics are linear in the relation's indicator: each word has
+a profile P with one entry per ordered pair, and stat_U(w) is the sum of
+P[x, y] over the pairs (x, y) of U.  inversion_profile, major_profile and
+sorting_profile build these; the relation sweeps in oracle.py score every
+relation from them.
 """
 
 from __future__ import annotations
@@ -50,19 +56,19 @@ def _letters_of(word) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _checked_letters(relation: Relation, word) -> tuple[int, ...]:
+def _checked_letters(n: int, word) -> tuple[int, ...]:
     letters = _letters_of(word)
     for x in letters:
-        if not 1 <= x <= relation.n:
+        if not 1 <= x <= n:
             raise AlphabetMismatch(
-                f"letter {x} outside the relation's alphabet 1..{relation.n}"
+                f"letter {x} outside the relation's alphabet 1..{n}"
             )
     return letters
 
 
 def graphical_inversions(relation: Relation, word) -> int:
     """Number of pairs i < j with (w_i, w_j) in the relation."""
-    letters = _checked_letters(relation, word)
+    letters = _checked_letters(relation.n, word)
     edges = relation.edges
     total = 0
     for i in range(len(letters)):
@@ -75,7 +81,7 @@ def graphical_inversions(relation: Relation, word) -> int:
 
 def graphical_descent_set(relation: Relation, word) -> frozenset[int]:
     """Positions i (1-based, i < m) with (w_i, w_{i+1}) in the relation."""
-    letters = _checked_letters(relation, word)
+    letters = _checked_letters(relation.n, word)
     edges = relation.edges
     return frozenset(
         i + 1
@@ -90,7 +96,7 @@ def graphical_descent_count(relation: Relation, word) -> int:
 
 def graphical_major_index(relation: Relation, word) -> int:
     """Sum of the descent positions."""
-    letters = _checked_letters(relation, word)
+    letters = _checked_letters(relation.n, word)
     edges = relation.edges
     total = 0
     for i in range(len(letters) - 1):
@@ -170,7 +176,7 @@ def graphical_sorting_index(
     relation: Relation, word, tie_rule: str = DEFAULT_TIE_RULE
 ) -> int:
     _check_rule(tie_rule)
-    letters = _checked_letters(relation, word)
+    letters = _checked_letters(relation.n, word)
     total, _, _ = _selection_sort(relation, letters, tie_rule, False)
     return total
 
@@ -181,7 +187,7 @@ def graphical_sorting_trace(
     """Full step record of the sort; the steps' target positions run from
     m down to 1 and the final letters are the ascending rearrangement."""
     _check_rule(tie_rule)
-    letters = _checked_letters(relation, word)
+    letters = _checked_letters(relation.n, word)
     total, steps, final = _selection_sort(relation, letters, tie_rule, True)
     return SortTrace(tie_rule, tuple(steps), final)
 
@@ -195,6 +201,57 @@ def replay_trace(letters: Sequence[int], trace: SortTrace) -> list[tuple[int, ..
         work[j], work[i] = work[i], work[j]
         states.append(tuple(work))
     return states
+
+
+def inversion_profile(n: int, word) -> tuple[int, ...]:
+    """Pair counts of the word: entry (x-1)*n + (y-1) is the number of
+    positions i < j with (w_i, w_j) = (x, y).
+
+    The entries follow the bit order of relation_from_mask, and
+    graphical_inversions(U, w) is the sum of the entries over the pairs of U.
+    """
+    letters = _checked_letters(n, word)
+    profile = [0] * (n * n)
+    seen = [0] * n  # copies of each letter left of the current position
+    for y in letters:
+        for x in range(n):
+            profile[x * n + y - 1] += seen[x]
+        seen[y - 1] += 1
+    return tuple(profile)
+
+
+def major_profile(n: int, word) -> tuple[int, ...]:
+    """Summed descent positions: entry (x-1)*n + (y-1) adds up the positions
+    i with (w_i, w_{i+1}) = (x, y), so graphical_major_index(U, w) is the sum
+    of the entries over the pairs of U."""
+    letters = _checked_letters(n, word)
+    profile = [0] * (n * n)
+    for i in range(len(letters) - 1):
+        profile[(letters[i] - 1) * n + letters[i + 1] - 1] += i + 1
+    return tuple(profile)
+
+
+def sorting_profile(
+    n: int, word, tie_rule: str = DEFAULT_TIE_RULE
+) -> tuple[int, ...]:
+    """Letters jumped over by the sort's moves: entry (x-1)*n + (y-1) counts
+    the times a moved x passes a y, so graphical_sorting_index(U, w, tie_rule)
+    is the sum of the entries over the pairs of U.
+
+    The mover of each step never depends on the relation, so the moves are
+    read off one trace under the empty relation.
+    """
+    letters = _letters_of(word)
+    trace = graphical_sorting_trace(Relation(n, frozenset()), letters, tie_rule)
+    profile = [0] * (n * n)
+    work = list(letters)
+    for step in trace.steps:
+        j, i = step.mover_position - 1, step.target_position - 1
+        row = (step.letter - 1) * n - 1
+        for h in range(j + 1, i + 1):
+            profile[row + work[h]] += 1
+        work[j], work[i] = work[i], work[j]
+    return tuple(profile)
 
 
 def maximal_chain_word(

@@ -137,6 +137,29 @@ def test_validate_code_rejects_malformed_codes():
         bcode_decode(CHAIN, ALPHA, BCode(((4, 2, 2), (1,), (0, 0, 0)), (3, 0, 2)))
 
 
+def test_decode_checks_the_conditions_once(monkeypatch):
+    import mahonian.bcode as bcode_module
+
+    calls = []
+    real = bcode_module.satisfies_sorting_conditions
+
+    def counted(relation, alpha):
+        calls.append(1)
+        return real(relation, alpha)
+
+    monkeypatch.setattr(bcode_module, "satisfies_sorting_conditions", counted)
+    code = BCode(((4, 2, 1, 1), (1,), (0, 0, 0)), (3, 0, 2))
+    assert bcode_decode(CHAIN, ALPHA, code).letters == (4, 2, 3, 4, 1, 5, 1, 4)
+    assert len(calls) == 1
+    # decode reports a malformed code exactly as validate_code does
+    bad = BCode(((5, 2, 2, 1), (1,), (0, 0, 0)), (3, 0, 2))
+    with pytest.raises(InvalidCode) as by_validate:
+        validate_code(CHAIN, ALPHA, bad)
+    with pytest.raises(InvalidCode) as by_decode:
+        bcode_decode(CHAIN, ALPHA, bad)
+    assert str(by_decode.value) == str(by_validate.value)
+
+
 def test_code_requires_every_letter_to_occur():
     with pytest.raises(ConditionsNotSatisfied) as err:
         bcode_encode(natural_order(2), make_word((2,), MultiplicityVector((0, 1))))

@@ -269,6 +269,20 @@ def test_verify_json_payload(capsys):
     assert payload["tie_rule"] == "copy-label-max"
 
 
+def test_jobs_below_one_is_an_input_error(capsys):
+    for jobs in ("0", "-3"):
+        code, _, err = run(
+            capsys, "verify", "thm1", "--n", "2", "--alpha", "1,1", "--jobs", jobs
+        )
+        assert code == 2
+        assert "jobs must be at least 1" in err
+        code, _, err = run(
+            capsys, "dist", "--alpha", "1,1", "--stat", "inv", "--jobs", jobs
+        )
+        assert code == 2
+        assert "jobs must be at least 1" in err
+
+
 def test_verify_universe_guard(capsys):
     code, _, err = run(capsys, "verify", "thm1", "--n", "4", "--alpha", "1,1,1,1")
     assert code == 2

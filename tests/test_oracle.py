@@ -1,6 +1,11 @@
 """Brute-force distributions and the exhaustive relation sweeps."""
 
+import itertools
+import time
+
 import pytest
+
+import mahonian.oracle as oracle
 
 from mahonian import (
     AlphabetMismatch,
@@ -12,14 +17,17 @@ from mahonian import (
     TIE_COPY_LABEL_MAX,
     TIE_LEFTMOST,
     TIE_RIGHTMOST,
+    TIE_RULES,
     UniverseTooLarge,
     distribution,
     equidistributed,
+    is_essentially_bipartitional,
     natural_order,
     q_multinomial,
     relation_from_mask,
     relation_to_mask,
     relation_universe,
+    satisfies_sorting_conditions,
     verify_theorem1,
     verify_theorem2,
 )
@@ -173,3 +181,113 @@ def test_report_render_and_json():
     passing = verify_theorem1(2, MultiplicityVector((2, 2)))
     assert passing.render().endswith("result: PASS")
     assert passing.to_json_dict()["tie_rule"] is None
+
+
+def slow_sweeps(n, alpha):
+    """Disagreements of both theorems by a per-relation route: distribution
+    over the class for every statistic, and the public predicates; thm2 is
+    keyed by tie rule."""
+    found = {"thm1": []} | {rule: [] for rule in TIE_RULES}
+    for mask in range(1 << (n * n)):
+        relation = relation_from_mask(n, mask)
+        inv, maj = (
+            distribution(f"{base}-graphical", alpha, relation)
+            for base in ("inv", "maj")
+        )
+        essential = is_essentially_bipartitional(relation, alpha) is not None
+        if essential != (inv == maj):
+            found["thm1"].append((mask, essential, inv == maj))
+        conditions = satisfies_sorting_conditions(relation, alpha)[0]
+        for rule in TIE_RULES:
+            sor = distribution("sor-graphical", alpha, relation, tie_rule=rule)
+            equal = inv == maj == sor
+            if conditions != equal:
+                found[rule].append((mask, conditions, equal))
+    return found
+
+
+def as_rows(report):
+    return [
+        (relation_to_mask(d.relation), d.predicate_holds, d.equidistributed_holds)
+        for d in report.disagreements
+    ]
+
+
+SWEPT_CLASSES = list(itertools.product(range(3), repeat=2)) + [(1, 1, 2), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("counts", SWEPT_CLASSES, ids=str)
+def test_sweeps_match_the_per_relation_route(counts):
+    n, alpha = len(counts), MultiplicityVector(counts)
+    expected = slow_sweeps(n, alpha)
+    for jobs in (1, 2):
+        assert as_rows(verify_theorem1(n, alpha, jobs=jobs)) == expected["thm1"]
+        for rule in TIE_RULES:
+            report = verify_theorem2(n, alpha, tie_rule=rule, jobs=jobs)
+            assert as_rows(report) == expected[rule]
+
+
+def test_jobs_below_one_are_rejected():
+    alpha = MultiplicityVector((1, 1))
+    for jobs in (0, -3):
+        with pytest.raises(InvalidArguments):
+            verify_theorem1(2, alpha, jobs=jobs)
+        with pytest.raises(InvalidArguments):
+            verify_theorem2(2, alpha, jobs=jobs)
+        with pytest.raises(InvalidArguments):
+            distribution("inv", alpha, jobs=jobs)
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    """Workers never outnumber the CPUs or the shards; a serial stand-in for
+    the process pool records what was asked of it."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, batches):
+            return map(fn, batches)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+    alpha = MultiplicityVector((2, 1))
+    serial = verify_theorem2(2, alpha, tie_rule=TIE_LEFTMOST)
+    assert started == []
+    for jobs, workers in ((10**9, 4), (3, 3)):
+        started.clear()
+        report = verify_theorem2(2, alpha, tie_rule=TIE_LEFTMOST, jobs=jobs)
+        assert started == [workers]
+        assert report.disagreements == serial.disagreements
+    # three words make at most three shards
+    u = Relation.from_pairs(2, [(2, 1), (1, 1)])
+    started.clear()
+    assert distribution("sor-graphical", alpha, u, jobs=10**9) == distribution(
+        "sor-graphical", alpha, u
+    )
+    assert started == [3]
+    # with the CPU count unknown, the work stays in this process
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+    started.clear()
+    assert verify_theorem1(2, alpha, jobs=8).ok
+    assert started == []
+
+
+def test_full_n4_sweeps_within_budget():
+    """Both theorems over all 65,536 relations on four letters; each sweep
+    has a budget of 30s."""
+    alpha = MultiplicityVector((1, 1, 1, 1))
+    for verify in (verify_theorem1, verify_theorem2):
+        start = time.perf_counter()
+        report = verify(4, alpha, max_alphabet=4)
+        elapsed = time.perf_counter() - start
+        assert report.ok
+        assert report.relation_count == 65536
+        assert elapsed < 30, f"{verify.__name__} took {elapsed:.1f}s of its 30s budget"

@@ -62,6 +62,13 @@ def test_relation_construction_and_membership():
         Relation(0, frozenset())
 
 
+def test_relation_rejects_bool_letters():
+    # True == 1, but a bool is no letter: it would be read as the pair (1, 2)
+    for pair in ((True, 2), (2, False), (True, True)):
+        with pytest.raises(InvalidArguments):
+            Relation(2, frozenset({pair}))
+
+
 def test_natural_and_full_relations():
     assert natural_order(3).edges == frozenset({(2, 1), (3, 1), (3, 2)})
     assert len(full_relation(3).edges) == 9
