@@ -34,9 +34,8 @@ from .errors import ConditionsNotSatisfied, InvalidArguments, InvalidCode
 from .relations import (
     OrderedBipartition,
     Relation,
-    effective_core,
-    satisfies_sorting_conditions,
-    to_ordered_bipartition,
+    _json_int,
+    _sorting_bipartition,
 )
 from .statistics import TIE_RIGHTMOST, graphical_sorting_trace, replay_trace
 from .words import MultiplicityVector, Word, infer_alpha, make_word
@@ -73,9 +72,9 @@ class BCode:
     def from_json_dict(cls, data: dict) -> "BCode":
         try:
             partitions = tuple(
-                tuple(int(p) for p in part) for part in data["partitions"]
+                tuple(_json_int(p) for p in part) for part in data["partitions"]
             )
-            markers = tuple(int(m) for m in data["markers"])
+            markers = tuple(_json_int(m) for m in data["markers"])
         except (KeyError, TypeError, ValueError):
             raise InvalidCode(f"malformed code object: {data!r}")
         return cls(partitions, markers)
@@ -92,15 +91,14 @@ class _BlockInfo:
 def _block_structure(
     relation: Relation, alpha: MultiplicityVector
 ) -> tuple[OrderedBipartition, list[_BlockInfo]]:
-    ok, reasons = satisfies_sorting_conditions(relation, alpha)
-    reasons = list(reasons)
+    bp, reasons = _sorting_bipartition(relation, alpha)
+    ok = not reasons
     for x in range(1, alpha.n + 1):
         if alpha.count_of(x) == 0:
             reasons.append(
                 f"code construction: letter {x} has multiplicity 0 (every letter must occur)"
             )
-    bp = to_ordered_bipartition(effective_core(relation, alpha)) if ok else None
-    if bp is not None:
+    if ok:
         last = bp.blocks[-1]
         if len(last) > 2:
             reasons.append(

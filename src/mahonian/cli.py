@@ -96,26 +96,6 @@ def _parse_json(text: str, what: str) -> dict:
     return data
 
 
-def _parse_edges(text: str, n: int | None) -> Relation:
-    pairs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split()
-        if len(parts) != 2:
-            raise InvalidArguments(f"cannot parse edge {chunk!r} (expected 'x y')")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise InvalidArguments(f"cannot parse edge {chunk!r} (expected integers)")
-    if n is None:
-        if not pairs:
-            raise InvalidArguments("empty --edges needs an explicit --n")
-        n = max(max(x, y) for x, y in pairs)
-    return Relation(n, frozenset(pairs))
-
-
 def _resolve_relation(args, n_hint: int | None = None) -> Relation:
     """Build the relation from --relation/--edges, preferring --n, then the
     caller's hint (alpha or word alphabet), then letters mentioned."""
@@ -138,7 +118,7 @@ def _resolve_relation(args, n_hint: int | None = None) -> Relation:
             f"--relation must be 'natural' or '@file', got {args.relation!r}"
         )
     if args.edges is not None:
-        return _parse_edges(args.edges, n)
+        return relation_from_text(args.edges, n)
     raise InvalidArguments("a relation is required: --relation or --edges")
 
 
@@ -255,9 +235,11 @@ def _cmd_stats(args) -> int:
 def _cmd_dist(args) -> int:
     alpha = _resolve_alpha(args)
     relation = None
-    if args.stat.endswith("-graphical"):
-        relation = _resolve_relation(args, alpha.n)
-    elif args.relation is not None or args.edges is not None:
+    if (
+        args.stat.endswith("-graphical")
+        or args.relation is not None
+        or args.edges is not None
+    ):
         relation = _resolve_relation(args, alpha.n)
     poly = distribution(
         args.stat,

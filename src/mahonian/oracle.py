@@ -18,9 +18,14 @@ is a sum over the relation's pairs of a per-word profile (see
 statistics.inversion_profile), so the sweep streams the class once, keeps
 each distinct profile with its multiplicity, and visits the masks in
 Gray-code order: each step flips one pair and moves every value by that
-pair's profile entry.  Work is sharded over contiguous ranges (of class
-ranks for a distribution, of Gray-code ranks for a sweep), with at most one
-worker process per CPU.
+pair's profile entry.
+
+Distributions and sweeps share one sharded path, _run_sharded: the work is
+cut into contiguous ranges (of class ranks for a distribution, of Gray-code
+ranks for a sweep), one per worker process and at most one per CPU, and a
+single range runs in the calling process.  Arguments are validated in the
+caller, and a job carries the validated relation and class themselves, not
+a description for each worker to rebuild.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ CHECK_INV_MAJ_SOR = "inv-maj-sor vs sorting-conditions"
 
 
 def _evaluator(stat: str, alpha: MultiplicityVector, relation, tie_rule: str):
-    """Map a statistic id to a letters -> value function.
+    """Map a statistic id to a picklable letters -> value function.
 
     Classical ids always use the strict natural order on the class's own
     alphabet; the graphical ids require an explicit relation.
@@ -95,15 +100,22 @@ def _evaluator(stat: str, alpha: MultiplicityVector, relation, tie_rule: str):
         base = stat
         relation = natural_order(alpha.n)
     if base == "inv":
-        return lambda letters: graphical_inversions(relation, letters)
+        return partial(graphical_inversions, relation)
     if base == "maj":
-        return lambda letters: graphical_major_index(relation, letters)
-    return lambda letters: graphical_sorting_index(relation, letters, tie_rule)
+        return partial(graphical_major_index, relation)
+    return partial(graphical_sorting_index, relation, tie_rule=tie_rule)
 
 
 def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise InvalidArguments(f"jobs must be at least 1, got {jobs}")
+
+
+def _check_class(alpha: MultiplicityVector, max_class: int) -> int:
+    size = class_size(alpha)
+    if size > max_class:
+        raise ClassTooLarge(f"class has {size} words, cap is {max_class}")
+    return size
 
 
 def _run_sharded(worker, job: tuple, count: int, jobs: int) -> list:
@@ -135,14 +147,7 @@ def _histogram_to_polynomial(histogram: dict[int, int]) -> QPolynomial:
 
 
 def _histogram_worker(job) -> dict[int, int]:
-    stat, counts, relation_spec, tie_rule, start, stop = job
-    alpha = MultiplicityVector(counts)
-    relation = (
-        Relation(relation_spec[0], frozenset(relation_spec[1]))
-        if relation_spec is not None
-        else None
-    )
-    evaluate = _evaluator(stat, alpha, relation, tie_rule)
+    evaluate, alpha, start, stop = job
     histogram: dict[int, int] = {}
     for word in rearrangement_class_range(alpha, start, stop):
         value = evaluate(word.letters)
@@ -162,28 +167,12 @@ def distribution(
     """Distribution polynomial of the statistic over the class: the
     coefficient of q^k counts the words with value k."""
     _check_jobs(jobs)
-    size = class_size(alpha)
-    if size > max_class:
-        raise ClassTooLarge(f"class has {size} words, cap is {max_class}")
-    if jobs > 1 and size > 1:
-        # validate before forking so argument errors surface in the caller
-        _evaluator(stat, alpha, relation, tie_rule)
-        spec = (
-            (relation.n, tuple(relation.sorted_edges()))
-            if relation is not None
-            else None
-        )
-        job = (stat, alpha.counts, spec, tie_rule)
-        histogram: dict[int, int] = {}
-        for part in _run_sharded(_histogram_worker, job, size, jobs):
-            for value, count in part.items():
-                histogram[value] = histogram.get(value, 0) + count
-    else:
-        evaluate = _evaluator(stat, alpha, relation, tie_rule)
-        histogram = {}
-        for word in rearrangement_class(alpha, max_class):
-            value = evaluate(word.letters)
-            histogram[value] = histogram.get(value, 0) + 1
+    size = _check_class(alpha, max_class)
+    job = (_evaluator(stat, alpha, relation, tie_rule), alpha)
+    histogram: dict[int, int] = {}
+    for part in _run_sharded(_histogram_worker, job, size, jobs):
+        for value, count in part.items():
+            histogram[value] = histogram.get(value, 0) + count
     return _histogram_to_polynomial(histogram)
 
 
@@ -238,10 +227,10 @@ def _check_alphabet(n: int, max_alphabet: int) -> None:
 def relation_universe(
     n: int, max_alphabet: int = DEFAULT_MAX_ALPHABET
 ) -> Iterator[Relation]:
-    """All 2^(n*n) relations on 1..n in mask order."""
+    """All 2^(n*n) relations on 1..n in mask order; the alphabet cap is
+    checked at the call, before anything is iterated."""
     _check_alphabet(n, max_alphabet)
-    for mask in range(1 << (n * n)):
-        yield relation_from_mask(n, mask)
+    return (relation_from_mask(n, mask) for mask in range(1 << (n * n)))
 
 
 @dataclass(frozen=True)
@@ -332,13 +321,12 @@ def _sweep_worker(job) -> list[tuple[int, bool, bool]]:
     differs from the previous mask in one bit b, so every value moves by
     +-P[b] per step.
     """
-    check, n, counts, tie_rule, max_class, start, stop = job
-    alpha = MultiplicityVector(counts)
+    check, n, alpha, tie_rule, start, stop = job
     builders = [inversion_profile, major_profile]
     if check == CHECK_INV_MAJ_SOR:
         builders.append(partial(sorting_profile, tie_rule=tie_rule))
     tallies: list[dict[tuple[int, ...], int]] = [{} for _ in builders]
-    for word in rearrangement_class(alpha, max_class):
+    for word in rearrangement_class(alpha, None):
         for build, tally in zip(builders, tallies):
             profile = build(n, word.letters)
             tally[profile] = tally.get(profile, 0) + 1
@@ -389,13 +377,11 @@ def _verify(
         raise AlphabetMismatch(f"alpha has n={alpha.n}, sweep asked for n={n}")
     _check_alphabet(n, max_alphabet)
     _check_jobs(jobs)
-    size = class_size(alpha)
-    if size > max_class:
-        raise ClassTooLarge(f"class has {size} words, cap is {max_class}")
+    _check_class(alpha, max_class)
     count = 1 << (n * n)
     started = time.perf_counter()
     worker_rule = tie_rule if tie_rule is not None else DEFAULT_TIE_RULE
-    job = (check, n, alpha.counts, worker_rule, max_class)
+    job = (check, n, alpha, worker_rule)
     found = sorted(chain.from_iterable(_run_sharded(_sweep_worker, job, count, jobs)))
     elapsed = time.perf_counter() - started
     disagreements = tuple(

@@ -97,6 +97,14 @@ def is_bipartitional(relation: Relation) -> bool:
     return is_transitive(relation) and is_transitive(complement(relation))
 
 
+def _json_int(value) -> int:
+    """A JSON integer as is; anything else (a float or a bool, which int()
+    would quietly truncate) raises TypeError for the reader to report."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class OrderedBipartition:
     """An ordered set partition of 1..n with a 0/1 underline flag per block."""
@@ -135,8 +143,10 @@ class OrderedBipartition:
     @classmethod
     def from_json_dict(cls, data: dict) -> "OrderedBipartition":
         try:
-            blocks = tuple(frozenset(int(x) for x in block) for block in data["blocks"])
-            flags = tuple(int(f) for f in data["flags"])
+            blocks = tuple(
+                frozenset(_json_int(x) for x in block) for block in data["blocks"]
+            )
+            flags = tuple(_json_int(f) for f in data["flags"])
         except (KeyError, TypeError, ValueError):
             raise InvalidBipartition(f"malformed bipartition object: {data!r}")
         return cls(blocks, flags)
@@ -335,6 +345,16 @@ def satisfies_sorting_conditions(
 
     Returns (ok, reasons) with one message per violated condition.
     """
+    reasons = _sorting_bipartition(relation, alpha)[1]
+    return (not reasons, reasons)
+
+
+def _sorting_bipartition(
+    relation: Relation, alpha: MultiplicityVector
+) -> tuple[OrderedBipartition | None, list[str]]:
+    """The effective core's bipartition (None when it has none) and the
+    violated sorting conditions, so a caller needing both computes the
+    bipartition once."""
     core = effective_core(relation, alpha)
 
     reasons = []
@@ -359,7 +379,7 @@ def satisfies_sorting_conditions(
                     f"condition 4: letter {max(block)} of two-letter block {i + 1} "
                     f"has multiplicity {alpha.count_of(max(block))} (must be 1)"
                 )
-    return (not reasons, reasons)
+    return bp, reasons
 
 
 def relation_to_json_dict(relation: Relation) -> dict:
@@ -368,8 +388,8 @@ def relation_to_json_dict(relation: Relation) -> dict:
 
 def relation_from_json_dict(data: dict) -> Relation:
     try:
-        n = int(data["n"])
-        pairs = [(int(x), int(y)) for x, y in data["edges"]]
+        n = _json_int(data["n"])
+        pairs = [(_json_int(x), _json_int(y)) for x, y in data["edges"]]
     except (KeyError, TypeError, ValueError):
         raise InvalidArguments(f"malformed relation object: {data!r}")
     return Relation(n, frozenset(pairs))
@@ -381,16 +401,19 @@ def relation_to_text(relation: Relation) -> str:
 
 
 def relation_from_text(text: str, n: int | None = None) -> Relation:
-    """Parse "x y" lines; n defaults to the largest letter mentioned."""
+    """Parse "x y" pairs separated by ';' or line breaks, e.g. "5 3;5 2";
+    n defaults to the largest letter mentioned."""
     pairs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
+    for chunk in text.replace(";", "\n").splitlines():
+        chunk = chunk.strip()
+        if not chunk:
             continue
         try:
-            x, y = (int(part) for part in line.split())
+            x, y = (int(part) for part in chunk.split())
         except ValueError:
-            raise InvalidArguments(f"cannot parse relation line {line!r}")
+            raise InvalidArguments(
+                f"cannot parse relation pair {chunk!r} (expected 'x y' integers)"
+            )
         pairs.append((x, y))
     if n is None:
         if not pairs:

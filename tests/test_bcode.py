@@ -139,18 +139,31 @@ def test_validate_code_rejects_malformed_codes():
 
 def test_decode_checks_the_conditions_once(monkeypatch):
     import mahonian.bcode as bcode_module
+    import mahonian.relations as relations_module
 
-    calls = []
-    real = bcode_module.satisfies_sorting_conditions
+    checks, bipartitions = [], []
+    real_check = bcode_module._sorting_bipartition
+    real_bipartition = relations_module.to_ordered_bipartition
 
-    def counted(relation, alpha):
-        calls.append(1)
-        return real(relation, alpha)
+    def counted_check(relation, alpha):
+        checks.append(1)
+        return real_check(relation, alpha)
 
-    monkeypatch.setattr(bcode_module, "satisfies_sorting_conditions", counted)
+    def counted_bipartition(relation):
+        bipartitions.append(1)
+        return real_bipartition(relation)
+
+    monkeypatch.setattr(bcode_module, "_sorting_bipartition", counted_check)
+    monkeypatch.setattr(
+        relations_module, "to_ordered_bipartition", counted_bipartition
+    )
     code = BCode(((4, 2, 1, 1), (1,), (0, 0, 0)), (3, 0, 2))
-    assert bcode_decode(CHAIN, ALPHA, code).letters == (4, 2, 3, 4, 1, 5, 1, 4)
-    assert len(calls) == 1
+    word = bcode_decode(CHAIN, ALPHA, code)
+    assert word.letters == (4, 2, 3, 4, 1, 5, 1, 4)
+    assert (len(checks), len(bipartitions)) == (1, 1)
+    # encode derives the sorting bipartition once as well
+    assert bcode_encode(CHAIN, word) == code
+    assert (len(checks), len(bipartitions)) == (2, 2)
     # decode reports a malformed code exactly as validate_code does
     bad = BCode(((5, 2, 2, 1), (1,), (0, 0, 0)), (3, 0, 2))
     with pytest.raises(InvalidCode) as by_validate:

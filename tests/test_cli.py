@@ -323,6 +323,44 @@ def test_relation_from_files(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_relation_json_needs_integers(capsys, tmp_path):
+    # int() would read 2.9 as 2 and true as 1, giving the pair (2, 1)
+    for body in ('{"n": 2, "edges": [[2.9, true]]}', '{"n": 2.0, "edges": [[2, 1]]}'):
+        json_file = tmp_path / "relation.json"
+        json_file.write_text(body)
+        code, out, err = run(
+            capsys, "check", "bipartitional", "--relation", f"@{json_file}"
+        )
+        assert (code, out) == (2, "")
+        assert "malformed relation object" in err
+
+
+def test_bipartition_json_needs_integers(capsys):
+    for body in (
+        '{"blocks": [[2.5], [1]], "flags": [0, 0]}',
+        '{"blocks": [[2], [1]], "flags": [true, 0]}',
+    ):
+        code, out, err = run(
+            capsys, "gf", "--alpha", "2,1", "--stat", "inv", "--bipartition", body
+        )
+        assert (code, out) == (2, "")
+        assert "malformed bipartition object" in err
+
+
+def test_code_json_needs_integers(capsys):
+    for body in (
+        '{"partitions": [[4, 2, 1.9, 1], [1], [0, 0, 0]], "markers": [3, 0, 2]}',
+        '{"partitions": [[4, 2, 1, 1], [1], [0, 0, 0]], "markers": [3, false, 2]}',
+    ):
+        code, out, err = run(
+            capsys,
+            "bcode", "decode", "--alpha", "2,1,1,3,1", "--edges", CHAIN_EDGES,
+            "--code", body,
+        )
+        assert (code, out) == (2, "")
+        assert "malformed code object" in err
+
+
 def test_natural_relation_needs_an_alphabet_size(capsys):
     code, _, err = run(capsys, "check", "bipartitional", "--relation", "natural")
     assert code == 2

@@ -2,6 +2,8 @@
 
 import itertools
 import time
+from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -14,6 +16,7 @@ from mahonian import (
     MultiplicityVector,
     QPolynomial,
     Relation,
+    STAT_IDS,
     TIE_COPY_LABEL_MAX,
     TIE_LEFTMOST,
     TIE_RIGHTMOST,
@@ -21,9 +24,13 @@ from mahonian import (
     UniverseTooLarge,
     distribution,
     equidistributed,
+    graphical_inversions,
+    graphical_major_index,
+    graphical_sorting_index,
     is_essentially_bipartitional,
     natural_order,
     q_multinomial,
+    rearrangement_class,
     relation_from_mask,
     relation_to_mask,
     relation_universe,
@@ -76,12 +83,23 @@ def test_distribution_respects_the_class_cap():
 
 
 def test_sharded_distribution_matches_serial():
+    # reference: score every word of the class with the public kernels
     alpha = MultiplicityVector((2, 2, 1))
     u = Relation.from_pairs(3, [(2, 1), (3, 1), (3, 2), (1, 1)])
-    for stat in ("inv", "sor-graphical"):
-        serial = distribution(stat, alpha, u, tie_rule=TIE_RIGHTMOST)
-        sharded = distribution(stat, alpha, u, tie_rule=TIE_RIGHTMOST, jobs=2)
-        assert serial == sharded
+    for stat in STAT_IDS:
+        base = stat.split("-")[0]
+        relation = u if stat.endswith("-graphical") else natural_order(3)
+        for rule in TIE_RULES if base == "sor" else (TIE_RIGHTMOST,):
+            kernel = {
+                "inv": graphical_inversions,
+                "maj": graphical_major_index,
+                "sor": partial(graphical_sorting_index, tie_rule=rule),
+            }[base]
+            values = Counter(kernel(relation, w) for w in rearrangement_class(alpha))
+            expected = QPolynomial([values[k] for k in range(max(values) + 1)])
+            for jobs in (1, 2):
+                got = distribution(stat, alpha, u, tie_rule=rule, jobs=jobs)
+                assert got == expected, (stat, rule, jobs)
 
 
 def test_equidistribution_examples():
@@ -106,6 +124,9 @@ def test_relation_universe_size_and_cap():
     assert len(list(relation_universe(2))) == 16
     with pytest.raises(UniverseTooLarge):
         list(relation_universe(4))
+    # the cap fails at the call, not at the first next()
+    with pytest.raises(UniverseTooLarge):
+        relation_universe(9)
     assert len(list(relation_universe(4, max_alphabet=4))) == 65536
 
 

@@ -1,5 +1,8 @@
-"""Property tests: profile linearity, and the one-shot essential predicate
-against the exhaustive loop-assignment scan it replaced."""
+"""Property tests: profile linearity, the one-shot essential predicate
+against the exhaustive loop-assignment scan it replaced, and ranged class
+enumeration against slices of the full enumeration."""
+
+from itertools import islice
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +13,14 @@ from mahonian import (
     OrderedBipartition,
     Relation,
     TIE_RULES,
+    class_size,
     from_ordered_bipartition,
     graphical_inversions,
     graphical_major_index,
     graphical_sorting_index,
     is_essentially_bipartitional,
+    rearrangement_class,
+    rearrangement_class_range,
     relation_from_mask,
     to_ordered_bipartition,
 )
@@ -107,3 +113,24 @@ def test_essential_predicate_matches_the_loop_scan(case):
     assert is_essentially_bipartitional(relation, alpha) == essential_by_scan(
         relation, alpha
     )
+
+
+@st.composite
+def class_ranges(draw):
+    n = draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    alpha = MultiplicityVector(tuple(counts))
+    a = draw(st.integers(0, class_size(alpha)))
+    b = draw(st.integers(a, class_size(alpha)))
+    return alpha, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_ranges())
+def test_class_range_is_a_slice_of_the_class(case):
+    # every distribution runs through the ranged enumeration, which starts
+    # by unranking its first word
+    alpha, a, b = case
+    ranged = [word.letters for word in rearrangement_class_range(alpha, a, b)]
+    full = [word.letters for word in islice(rearrangement_class(alpha, None), b)]
+    assert ranged == full[a:b]

@@ -321,9 +321,13 @@ def test_relation_json_and_text_round_trips():
     assert relation_from_json_dict(relation_to_json_dict(u)) == u
     assert relation_from_text(relation_to_text(u), n=4) == u
     assert relation_from_text("2 1\n\n3 1\n") == Relation.from_pairs(3, [(2, 1), (3, 1)])
+    # ';' and line breaks both separate pairs, in any mix
+    assert relation_from_text("4 3; 3 3\n3 1;\n2 3;1 1") == u
     with pytest.raises(InvalidArguments):
         relation_from_text("")
     with pytest.raises(InvalidArguments):
         relation_from_text("1 2 3")
+    with pytest.raises(InvalidArguments):
+        relation_from_text("1 2;3")
     with pytest.raises(InvalidArguments):
         relation_from_json_dict({"n": 2})
