@@ -30,13 +30,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import ConditionsNotSatisfied, InvalidArguments, InvalidCode
-from .relations import (
-    OrderedBipartition,
-    Relation,
-    _json_int,
-    _sorting_bipartition,
-)
+from .errors import ConditionsNotSatisfied, InvalidCode
+from .relations import OrderedBipartition, Relation, _sorting_bipartition
 from .statistics import TIE_RIGHTMOST, graphical_sorting_trace, replay_trace
 from .words import MultiplicityVector, Word, infer_alpha, make_word
 
@@ -52,11 +47,15 @@ class BCode:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "partitions", tuple(tuple(int(p) for p in part) for part in self.partitions)
+            self, "partitions", tuple(tuple(part) for part in self.partitions)
         )
-        object.__setattr__(self, "markers", tuple(int(m) for m in self.markers))
+        object.__setattr__(self, "markers", tuple(self.markers))
         if len(self.partitions) != len(self.markers):
             raise InvalidCode("one marker per partition required")
+        for value in itertools.chain(*self.partitions, self.markers):
+            # type() rather than isinstance(): bool is an int subclass
+            if type(value) is not int:
+                raise InvalidCode(f"code entries must be integers, got {value!r}")
 
     def total(self) -> int:
         """Sum of all parts; equals the word's sorting index."""
@@ -71,13 +70,9 @@ class BCode:
     @classmethod
     def from_json_dict(cls, data: dict) -> "BCode":
         try:
-            partitions = tuple(
-                tuple(_json_int(p) for p in part) for part in data["partitions"]
-            )
-            markers = tuple(_json_int(m) for m in data["markers"])
-        except (KeyError, TypeError, ValueError):
-            raise InvalidCode(f"malformed code object: {data!r}")
-        return cls(partitions, markers)
+            return cls(data["partitions"], data["markers"])
+        except (KeyError, TypeError, ValueError, InvalidCode) as exc:
+            raise InvalidCode(f"malformed code object: {data!r} ({exc})")
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ class InvalidBipartition(MahonianError):
     """Blocks overlap, miss letters, or flags are malformed."""
 
 
-class SearchSpaceTooLarge(MahonianError):
-    """Too many free letters for the exhaustive loop-assignment search."""
-
-
 class SizeCapExceeded(MahonianError):
     """Input is larger than the cap of an exact exponential search."""
 

@@ -39,15 +39,11 @@ from itertools import chain
 from operator import add, sub
 from typing import Iterator, Sequence
 
-from .errors import (
-    AlphabetMismatch,
-    ClassTooLarge,
-    InvalidArguments,
-    UniverseTooLarge,
-)
+from .errors import AlphabetMismatch, InvalidArguments, UniverseTooLarge
 from .qseries import QPolynomial
 from .relations import (
     Relation,
+    _check_same_alphabet,
     is_essentially_bipartitional,
     natural_order,
     relation_to_json_dict,
@@ -65,6 +61,7 @@ from .statistics import (
 from .words import (
     DEFAULT_MAX_CLASS,
     MultiplicityVector,
+    _check_class,
     class_size,
     rearrangement_class,
     rearrangement_class_range,
@@ -91,10 +88,7 @@ def _evaluator(stat: str, alpha: MultiplicityVector, relation, tie_rule: str):
     if stat.endswith("-graphical"):
         if relation is None:
             raise InvalidArguments(f"statistic {stat} needs a relation")
-        if relation.n != alpha.n:
-            raise AlphabetMismatch(
-                f"relation is on 1..{relation.n} but alpha has n={alpha.n}"
-            )
+        _check_same_alphabet(relation, alpha)
         base = stat[: -len("-graphical")]
     else:
         base = stat
@@ -109,13 +103,6 @@ def _evaluator(stat: str, alpha: MultiplicityVector, relation, tie_rule: str):
 def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise InvalidArguments(f"jobs must be at least 1, got {jobs}")
-
-
-def _check_class(alpha: MultiplicityVector, max_class: int) -> int:
-    size = class_size(alpha)
-    if size > max_class:
-        raise ClassTooLarge(f"class has {size} words, cap is {max_class}")
-    return size
 
 
 def _run_sharded(worker, job: tuple, count: int, jobs: int) -> list:

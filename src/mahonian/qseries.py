@@ -28,11 +28,12 @@ class QPolynomial:
 
     def __init__(self, coeffs: Sequence[int] = ()):
         coeffs = list(coeffs)
+        for c in coeffs:
+            # type() rather than isinstance(): bool is an int subclass
+            if type(c) is not int or c < 0:
+                raise InvalidArguments(f"coefficients must be integers >= 0, got {c!r}")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        for c in coeffs:
-            if not isinstance(c, int) or c < 0:
-                raise InvalidArguments(f"coefficients must be integers >= 0, got {c!r}")
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def __setattr__(self, name, value):
@@ -129,10 +130,9 @@ class QPolynomial:
     @classmethod
     def from_json_dict(cls, data: dict) -> "QPolynomial":
         try:
-            coeffs = [int(c) for c in data["coeffs"]]
-        except (KeyError, TypeError, ValueError):
-            raise InvalidArguments(f"malformed polynomial object: {data!r}")
-        return cls(coeffs)
+            return cls(data["coeffs"])
+        except (KeyError, TypeError, ValueError, InvalidArguments) as exc:
+            raise InvalidArguments(f"malformed polynomial object: {data!r} ({exc})")
 
 
 def q_binomial(n: int, k: int) -> QPolynomial:

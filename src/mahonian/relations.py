@@ -18,12 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    AlphabetMismatch,
-    InvalidArguments,
-    InvalidBipartition,
-    SearchSpaceTooLarge,
-)
+from .errors import AlphabetMismatch, InvalidArguments, InvalidBipartition
 from .words import MultiplicityVector
 
 Pair = tuple[int, int]
@@ -37,13 +32,13 @@ class Relation:
     edges: frozenset[Pair]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidArguments("alphabet size must be >= 1")
+        # type() rather than isinstance(): bool is an int subclass
+        if type(self.n) is not int or self.n < 1:
+            raise InvalidArguments(f"alphabet size must be an integer >= 1, got {self.n!r}")
         if not isinstance(self.edges, frozenset):
             object.__setattr__(self, "edges", frozenset(self.edges))
         n = self.n
         for pair in self.edges:
-            # type() rather than isinstance(): bool is an int subclass
             if not (
                 isinstance(pair, tuple)
                 and len(pair) == 2
@@ -62,7 +57,7 @@ class Relation:
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Iterable[int]]) -> "Relation":
-        return cls(n, frozenset((int(x), int(y)) for x, y in pairs))
+        return cls(n, frozenset((x, y) for x, y in pairs))
 
 
 def natural_order(n: int) -> Relation:
@@ -97,14 +92,6 @@ def is_bipartitional(relation: Relation) -> bool:
     return is_transitive(relation) and is_transitive(complement(relation))
 
 
-def _json_int(value) -> int:
-    """A JSON integer as is; anything else (a float or a bool, which int()
-    would quietly truncate) raises TypeError for the reader to report."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class OrderedBipartition:
     """An ordered set partition of 1..n with a 0/1 underline flag per block."""
@@ -117,10 +104,16 @@ class OrderedBipartition:
         object.__setattr__(self, "flags", tuple(self.flags))
         if len(self.blocks) != len(self.flags):
             raise InvalidBipartition("one flag per block required")
-        if any(flag not in (0, 1) for flag in self.flags):
-            raise InvalidBipartition("flags must be 0 or 1")
-        if any(len(block) == 0 for block in self.blocks):
-            raise InvalidBipartition("blocks must be nonempty")
+        # plain loops: every sweep builds one bipartition per relation
+        for flag in self.flags:
+            if type(flag) is not int or flag not in (0, 1):
+                raise InvalidBipartition(f"flags must be 0 or 1, got {flag!r}")
+        for block in self.blocks:
+            if not block:
+                raise InvalidBipartition("blocks must be nonempty")
+            for x in block:
+                if type(x) is not int:
+                    raise InvalidBipartition(f"block letters must be integers, got {x!r}")
 
     @property
     def letters(self) -> frozenset[int]:
@@ -143,13 +136,9 @@ class OrderedBipartition:
     @classmethod
     def from_json_dict(cls, data: dict) -> "OrderedBipartition":
         try:
-            blocks = tuple(
-                frozenset(_json_int(x) for x in block) for block in data["blocks"]
-            )
-            flags = tuple(_json_int(f) for f in data["flags"])
-        except (KeyError, TypeError, ValueError):
-            raise InvalidBipartition(f"malformed bipartition object: {data!r}")
-        return cls(blocks, flags)
+            return cls(data["blocks"], data["flags"])
+        except (KeyError, TypeError, ValueError, InvalidBipartition) as exc:
+            raise InvalidBipartition(f"malformed bipartition object: {data!r} ({exc})")
 
 
 def from_ordered_bipartition(bp: OrderedBipartition) -> Relation:
@@ -229,6 +218,13 @@ def to_ordered_bipartition(relation: Relation) -> OrderedBipartition | None:
     return candidate
 
 
+def _check_same_alphabet(relation: Relation, alpha: MultiplicityVector) -> None:
+    if alpha.n != relation.n:
+        raise AlphabetMismatch(
+            f"relation is on 1..{relation.n} but alpha has n={alpha.n}"
+        )
+
+
 def decompose(relation: Relation) -> tuple[Relation, Relation, frozenset[int]]:
     """Split U into its symmetric part, asymmetric part, and the symmetric
     part's support letters."""
@@ -259,7 +255,7 @@ class EssentialWitness:
 
 
 def is_essentially_bipartitional(
-    relation: Relation, alpha: MultiplicityVector, max_free: int = 20
+    relation: Relation, alpha: MultiplicityVector
 ) -> EssentialWitness | None:
     """Find a loop adjustment on multiplicity-1 letters that makes the
     relation bipartitional.
@@ -281,17 +277,11 @@ def is_essentially_bipartitional(
 
     The valid assignments thus form a product, and the first one scanned
     gives each free letter a loop exactly when it has such a partner; if
-    that variant is not bipartitional, none is.  max_free caps |F|.
+    that variant is not bipartitional, none is.  The answer takes one
+    to_ordered_bipartition call, so |F| needs no cap.
     """
-    if alpha.n != relation.n:
-        raise AlphabetMismatch(
-            f"relation is on 1..{relation.n} but alpha has n={alpha.n}"
-        )
+    _check_same_alphabet(relation, alpha)
     free = [x for x in range(1, relation.n + 1) if alpha.count_of(x) == 1]
-    if len(free) > max_free:
-        raise SearchSpaceTooLarge(
-            f"{len(free)} free letters exceed the cap of {max_free}"
-        )
     edges = relation.edges
     present = {
         x
@@ -318,10 +308,7 @@ def effective_core(relation: Relation, alpha: MultiplicityVector) -> Relation:
     the class can see it; predicates about statistics should look at the
     core, not the raw edge set.
     """
-    if alpha.n != relation.n:
-        raise AlphabetMismatch(
-            f"relation is on 1..{relation.n} but alpha has n={alpha.n}"
-        )
+    _check_same_alphabet(relation, alpha)
     ineffective = {
         (x, x)
         for x in range(1, relation.n + 1)
@@ -388,11 +375,9 @@ def relation_to_json_dict(relation: Relation) -> dict:
 
 def relation_from_json_dict(data: dict) -> Relation:
     try:
-        n = _json_int(data["n"])
-        pairs = [(_json_int(x), _json_int(y)) for x, y in data["edges"]]
-    except (KeyError, TypeError, ValueError):
-        raise InvalidArguments(f"malformed relation object: {data!r}")
-    return Relation(n, frozenset(pairs))
+        return Relation.from_pairs(data["n"], data["edges"])
+    except (KeyError, TypeError, ValueError, InvalidArguments) as exc:
+        raise InvalidArguments(f"malformed relation object: {data!r} ({exc})")
 
 
 def relation_to_text(relation: Relation) -> str:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AlphabetMismatch, InvalidArguments, SizeCapExceeded
-from .relations import Relation
+from .relations import Relation, _check_same_alphabet
 from .words import MultiplicityVector, Word
 
 TIE_COPY_LABEL_MAX = "copy-label-max"
@@ -271,10 +271,7 @@ def maximal_chain_word(
     The search is exact and memoized over residual multiplicity vectors,
     hence the size cap.
     """
-    if alpha.n != relation.n:
-        raise AlphabetMismatch(
-            f"relation is on 1..{relation.n} but alpha has n={alpha.n}"
-        )
+    _check_same_alphabet(relation, alpha)
     if alpha.total > max_total:
         raise SizeCapExceeded(
             f"class mass {alpha.total} exceeds the chain-search cap {max_total}"

@@ -38,7 +38,8 @@ class MultiplicityVector:
         if len(self.counts) < 1:
             raise InvalidArguments("multiplicity vector needs at least one letter")
         for a in self.counts:
-            if not isinstance(a, int) or a < 0:
+            # type() rather than isinstance(): bool is an int subclass
+            if type(a) is not int or a < 0:
                 raise InvalidArguments(f"multiplicities must be integers >= 0, got {a!r}")
 
     @property
@@ -91,7 +92,7 @@ def make_word(letters: Sequence[int], alpha: MultiplicityVector) -> Word:
     letters = tuple(letters)
     seen = [0] * alpha.n
     for x in letters:
-        if not isinstance(x, int) or not 1 <= x <= alpha.n:
+        if type(x) is not int or not 1 <= x <= alpha.n:
             raise LetterOutOfRange(f"letter {x!r} outside 1..{alpha.n}")
         seen[x - 1] += 1
     if tuple(seen) != alpha.counts:
@@ -108,6 +109,15 @@ def class_size(alpha: MultiplicityVector) -> int:
     for a in alpha.counts:
         partial += a
         size *= math.comb(partial, a)
+    return size
+
+
+def _check_class(alpha: MultiplicityVector, max_class: int | None) -> int:
+    """The class size, after raising ClassTooLarge when it exceeds max_class
+    (None disables the cap)."""
+    size = class_size(alpha)
+    if max_class is not None and size > max_class:
+        raise ClassTooLarge(f"class has {size} words, cap is {max_class}")
     return size
 
 
@@ -134,16 +144,9 @@ def rearrangement_class(
     Raises ClassTooLarge up front when the class size exceeds max_class
     (pass None to disable the cap).
     """
-    if max_class is not None and class_size(alpha) > max_class:
-        raise ClassTooLarge(
-            f"class has {class_size(alpha)} words, cap is {max_class}"
-        )
-    current = []
-    for letter, a in enumerate(alpha.counts, start=1):
-        current.extend([letter] * a)
-    yield Word(tuple(current), alpha)
-    while _next_permutation(current):
-        yield Word(tuple(current), alpha)
+    # stays a generator function: bench/tracer.py counts the words of a
+    # class per next() only on generator functions
+    yield from rearrangement_class_range(alpha, 0, _check_class(alpha, max_class))
 
 
 def unrank_word(alpha: MultiplicityVector, index: int) -> Word:

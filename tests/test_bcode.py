@@ -134,6 +134,10 @@ def test_validate_code_rejects_malformed_codes():
     with pytest.raises(InvalidCode):
         BCode(((1,),), (0, 0))  # one marker per partition
     with pytest.raises(InvalidCode):
+        BCode(((1.9,),), (0,))  # int() would store the part 1
+    with pytest.raises(InvalidCode):
+        BCode(((1,),), (False,))
+    with pytest.raises(InvalidCode):
         bcode_decode(CHAIN, ALPHA, BCode(((4, 2, 2), (1,), (0, 0, 0)), (3, 0, 2)))
 
 

@@ -194,6 +194,12 @@ def test_check_essential(capsys):
     )
     assert code == 1
     assert out.startswith("no:")
+    # 21 free letters: the predicate has no free-letter cap
+    code, out, _ = run(
+        capsys, "check", "essential", "--relation", "natural", "--alpha", ",".join(["1"] * 21)
+    )
+    assert code == 0
+    assert out.startswith("yes:")
 
 
 def test_check_sor_conditions(capsys):

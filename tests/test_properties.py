@@ -1,8 +1,9 @@
 """Property tests: profile linearity, the one-shot essential predicate
-against the exhaustive loop-assignment scan it replaced, and ranged class
-enumeration against slices of the full enumeration."""
+against the exhaustive loop-assignment scan it replaced, ranged class
+enumeration against a brute-force class, and the block code round trip on
+random qualifying relations."""
 
-from itertools import islice
+from itertools import permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,17 +13,22 @@ from mahonian import (
     MultiplicityVector,
     OrderedBipartition,
     Relation,
+    TIE_RIGHTMOST,
     TIE_RULES,
+    bcode_decode,
+    bcode_encode,
     class_size,
+    code_count,
+    enumerate_codes,
     from_ordered_bipartition,
     graphical_inversions,
     graphical_major_index,
     graphical_sorting_index,
     is_essentially_bipartitional,
-    rearrangement_class,
     rearrangement_class_range,
     relation_from_mask,
     to_ordered_bipartition,
+    unrank_word,
 )
 from mahonian.statistics import inversion_profile, major_profile, sorting_profile
 
@@ -115,10 +121,21 @@ def test_essential_predicate_matches_the_loop_scan(case):
     )
 
 
+def brute_class(alpha):
+    """Every rearrangement, lexicographic, by brute force over permutations."""
+    pool = [x for x in range(1, alpha.n + 1) for _ in range(alpha.count_of(x))]
+    return sorted(set(permutations(pool)))
+
+
 @st.composite
 def class_ranges(draw):
+    # at most 7 letters, so the brute-force class stays at 7! permutations
     n = draw(st.integers(1, 4))
-    counts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    counts = draw(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(
+            lambda counts: sum(counts) <= 7
+        )
+    )
     alpha = MultiplicityVector(tuple(counts))
     a = draw(st.integers(0, class_size(alpha)))
     b = draw(st.integers(a, class_size(alpha)))
@@ -128,9 +145,50 @@ def class_ranges(draw):
 @settings(max_examples=300, deadline=None)
 @given(class_ranges())
 def test_class_range_is_a_slice_of_the_class(case):
-    # every distribution runs through the ranged enumeration, which starts
-    # by unranking its first word
+    # every enumeration, whole class or range, starts by unranking its first
+    # word and then steps; the brute-force class shares neither
     alpha, a, b = case
     ranged = [word.letters for word in rearrangement_class_range(alpha, a, b)]
-    full = [word.letters for word in islice(rearrangement_class(alpha, None), b)]
-    assert ranged == full[a:b]
+    assert ranged == brute_class(alpha)[a:b]
+
+
+@st.composite
+def qualifying_cases(draw):
+    """A relation passing the sorting conditions with a thin last block, and
+    a class it codes: the letters n..1 cut into consecutive descending blocks
+    of one or two letters, the larger letter of a two-letter block occurring
+    once and every other letter one to three times, the class at most 2,000
+    words."""
+    n = draw(st.integers(1, 5))
+    blocks = []
+    top = n
+    while top:
+        size = draw(st.integers(1, min(2, top)))
+        blocks.append(list(range(top, top - size, -1)))
+        top -= size
+    thin_tops = {block[0] for block in blocks if len(block) == 2}
+    counts = [1 if x in thin_tops else draw(st.integers(1, 3)) for x in range(1, n + 1)]
+    while class_size(MultiplicityVector(tuple(counts))) > 2000:
+        counts[counts.index(max(counts))] -= 1
+    relation = from_ordered_bipartition(OrderedBipartition(blocks, [0] * len(blocks)))
+    return relation, MultiplicityVector(tuple(counts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(qualifying_cases(), st.data())
+def test_bcode_round_trips_on_qualifying_relations(case, data):
+    relation, alpha = case
+    size = class_size(alpha)
+    assert code_count(relation, alpha) == size
+    ranks = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=5))
+    for rank in ranks:
+        word = unrank_word(alpha, rank)
+        code = bcode_encode(relation, word)
+        assert bcode_decode(relation, alpha, code) == word
+        assert code.total() == graphical_sorting_index(
+            relation, word, tie_rule=TIE_RIGHTMOST
+        )
+    codes = list(enumerate_codes(relation, alpha))
+    assert len(codes) == size
+    for code in data.draw(st.lists(st.sampled_from(codes), min_size=1, max_size=5)):
+        assert bcode_encode(relation, bcode_decode(relation, alpha, code)) == code

@@ -66,6 +66,9 @@ def test_polynomial_normalization_and_equality():
     assert QPolynomial.monomial(3, 2) == QPolynomial((0, 0, 0, 2))
     with pytest.raises(InvalidArguments):
         QPolynomial((1, -1))
+    for coeffs in ([True], [1, 0.0]):
+        with pytest.raises(InvalidArguments):
+            QPolynomial(coeffs)
 
 
 def test_polynomial_arithmetic():
@@ -92,6 +95,8 @@ def test_polynomial_json_round_trip():
     assert QPolynomial.from_json_dict(p.to_json_dict()) == p
     with pytest.raises(InvalidArguments):
         QPolynomial.from_json_dict({"coeffs": "nope"})
+    with pytest.raises(InvalidArguments):
+        QPolynomial.from_json_dict({"coeffs": [1.9]})
 
 
 def test_q_binomial_small_values():

@@ -12,7 +12,6 @@ from mahonian import (
     MultiplicityVector,
     OrderedBipartition,
     Relation,
-    SearchSpaceTooLarge,
     complement,
     decompose,
     effective_core,
@@ -60,6 +59,11 @@ def test_relation_construction_and_membership():
         Relation(2, frozenset({(3, 1)}))
     with pytest.raises(InvalidArguments):
         Relation(0, frozenset())
+    # integers are never coerced: int() would read 2.5 as 2 and "1" as 1
+    with pytest.raises(InvalidArguments):
+        Relation(2.5, frozenset({(2, 1)}))
+    with pytest.raises(InvalidArguments):
+        Relation.from_pairs(2, [(2.7, "1")])
 
 
 def test_relation_rejects_bool_letters():
@@ -158,6 +162,11 @@ def test_bipartition_validation():
         OrderedBipartition((frozenset(),), (0,))
     with pytest.raises(InvalidBipartition):
         OrderedBipartition((frozenset({1}),), (2,))
+    # True == 1 and 0.0 == 0, but neither is an integer flag or letter
+    with pytest.raises(InvalidBipartition):
+        OrderedBipartition(([2], [1]), (True, 0.0))
+    with pytest.raises(InvalidBipartition):
+        OrderedBipartition(([2], [True]), (0, 0))
     # blocks must partition 1..max exactly
     with pytest.raises(InvalidBipartition):
         from_ordered_bipartition(OrderedBipartition((frozenset({1, 3}),), (0,)))
@@ -223,10 +232,13 @@ def test_essential_witness_none_for_cycles():
     assert is_essentially_bipartitional(cycle, MultiplicityVector((1, 1, 1))) is None
 
 
-def test_essential_search_caps_free_letters():
-    u = Relation(2, frozenset())
-    with pytest.raises(SearchSpaceTooLarge):
-        is_essentially_bipartitional(u, MultiplicityVector((1, 1)), max_free=1)
+def test_essential_predicate_needs_no_free_letter_cap():
+    # one bipartition call answers for any number of free letters
+    alpha = MultiplicityVector((1,) * 25)
+    witness = is_essentially_bipartitional(natural_order(25), alpha)
+    assert witness is not None
+    assert len(witness.bipartition.blocks) == 25
+    assert is_essentially_bipartitional(Relation(25, frozenset()), alpha) is not None
 
 
 def test_essential_requires_matching_alphabets():

@@ -107,6 +107,8 @@ def test_make_word_validates_letters_and_counts():
         make_word([1, 3, 1], alpha)
     with pytest.raises(LetterOutOfRange):
         make_word([0, 1, 2], alpha)
+    with pytest.raises(LetterOutOfRange):
+        make_word([True, 2, 1], alpha)
     with pytest.raises(MultiplicityMismatch):
         make_word([1, 1, 1], alpha)
     with pytest.raises(MultiplicityMismatch):
@@ -128,6 +130,8 @@ def test_multiplicity_vector_rejects_bad_input():
         MultiplicityVector(())
     with pytest.raises(InvalidArguments):
         MultiplicityVector((1, -1))
+    with pytest.raises(InvalidArguments):
+        MultiplicityVector((True, 2))
     with pytest.raises(InvalidArguments):
         MultiplicityVector.parse("1,x")
     with pytest.raises(LetterOutOfRange):
