@@ -49,8 +49,8 @@ class QPolynomial:
 
     @classmethod
     def monomial(cls, power: int, coefficient: int = 1) -> "QPolynomial":
-        if power < 0:
-            raise InvalidArguments("monomial power must be >= 0")
+        if type(power) is not int or power < 0:
+            raise InvalidArguments(f"monomial power must be an integer >= 0, got {power!r}")
         return cls((0,) * power + (coefficient,))
 
     @property
@@ -137,6 +137,8 @@ class QPolynomial:
 
 def q_binomial(n: int, k: int) -> QPolynomial:
     """Gaussian binomial coefficient, by the q-Pascal recurrence."""
+    if type(n) is not int or type(k) is not int:
+        raise InvalidArguments(f"n and k must be integers, got n={n!r}, k={k!r}")
     if n < 0 or k < 0 or k > n:
         raise InvalidArguments(f"need 0 <= k <= n, got n={n}, k={k}")
     # row[j] along Pascal rows; entry (i, j) = (i-1, j-1) + q^j * (i-1, j)
@@ -157,7 +159,7 @@ def q_binomial(n: int, k: int) -> QPolynomial:
 def q_multinomial(parts: Sequence[int]) -> QPolynomial:
     """Gaussian multinomial, as a telescoping product of q-binomials."""
     parts = list(parts)
-    if any(not isinstance(p, int) or p < 0 for p in parts):
+    if any(type(p) is not int or p < 0 for p in parts):
         raise InvalidArguments(f"parts must be integers >= 0, got {parts!r}")
     result = QPolynomial.one()
     partial = 0
@@ -175,8 +177,8 @@ def box_partition_counts(j: int, k: int) -> QPolynomial:
     whether it has fewer than k parts, or all k parts positive and each can
     be lowered by one), independently of the q-Pascal route.
     """
-    if j < 0 or k < 0:
-        raise InvalidArguments(f"box sides must be >= 0, got j={j}, k={k}")
+    if type(j) is not int or type(k) is not int or j < 0 or k < 0:
+        raise InvalidArguments(f"box sides must be integers >= 0, got j={j!r}, k={k!r}")
     memo: dict[tuple[int, int], list[int]] = {}
 
     def counts(j: int, k: int) -> list[int]:
@@ -202,8 +204,8 @@ def multinomial(parts: Sequence[int]) -> int:
     result = 1
     partial = 0
     for p in parts:
-        if p < 0:
-            raise InvalidArguments(f"parts must be >= 0, got {parts!r}")
+        if type(p) is not int or p < 0:
+            raise InvalidArguments(f"parts must be integers >= 0, got {parts!r}")
         partial += p
         result *= math.comb(partial, p)
     return result

@@ -8,15 +8,18 @@ a flagged ("underlined") block.  Flagged blocks therefore contribute all of
 their internal pairs including loops; unflagged blocks contribute none.
 
 Two independent characterizations are implemented and tested against each
-other: the reconstruction algorithm of to_ordered_bipartition, and the
-closure property that both U and its complement are transitive.
+other: to_ordered_bipartition groups letters by out-row and loop and accepts
+the one candidate only when the pairs it induces are exactly U's edges, and
+is_bipartitional checks the closure property that both U and its complement
+are transitive.  The tests pin the two together on every relation on three
+letters and on random relations on up to six.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import AlphabetMismatch, InvalidArguments, InvalidBipartition
 from .words import MultiplicityVector
@@ -36,7 +39,10 @@ class Relation:
         if type(self.n) is not int or self.n < 1:
             raise InvalidArguments(f"alphabet size must be an integer >= 1, got {self.n!r}")
         if not isinstance(self.edges, frozenset):
-            object.__setattr__(self, "edges", frozenset(self.edges))
+            try:
+                object.__setattr__(self, "edges", frozenset(self.edges))
+            except TypeError as exc:
+                raise InvalidArguments(f"edges must be pairs of integers ({exc})")
         n = self.n
         for pair in self.edges:
             if not (
@@ -47,7 +53,12 @@ class Relation:
                 and 1 <= pair[0] <= n
                 and 1 <= pair[1] <= n
             ):
-                raise InvalidArguments(f"edge {pair!r} outside 1..{self.n} x 1..{self.n}")
+                kind = type(pair).__name__
+                if isinstance(pair, tuple):
+                    kind += f"[{', '.join(type(v).__name__ for v in pair)}]"
+                if kind == "tuple[int, int]":
+                    raise InvalidArguments(f"edge {pair!r} outside 1..{n} x 1..{n}")
+                raise InvalidArguments(f"edge {pair!r} must be a pair of integers, got {kind}")
 
     def __contains__(self, pair: Pair) -> bool:
         return pair in self.edges
@@ -57,7 +68,7 @@ class Relation:
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Iterable[int]]) -> "Relation":
-        return cls(n, frozenset((x, y) for x, y in pairs))
+        return cls(n, [tuple(p) if isinstance(p, Iterable) else p for p in pairs])
 
 
 def natural_order(n: int) -> Relation:
@@ -104,7 +115,6 @@ class OrderedBipartition:
         object.__setattr__(self, "flags", tuple(self.flags))
         if len(self.blocks) != len(self.flags):
             raise InvalidBipartition("one flag per block required")
-        # plain loops: every sweep builds one bipartition per relation
         for flag in self.flags:
             if type(flag) is not int or flag not in (0, 1):
                 raise InvalidBipartition(f"flags must be 0 or 1, got {flag!r}")
@@ -141,6 +151,20 @@ class OrderedBipartition:
             raise InvalidBipartition(f"malformed bipartition object: {data!r} ({exc})")
 
 
+def _induced_edges(
+    blocks: tuple[frozenset[int], ...], flags: tuple[int, ...]
+) -> frozenset[Pair]:
+    """Each block's pairs into every later block, and an underlined block's
+    pairs within itself."""
+    edges = set()
+    for i, (block, flag) in enumerate(zip(blocks, flags)):
+        for later in blocks[i + 1 :]:
+            edges.update(itertools.product(block, later))
+        if flag:
+            edges.update(itertools.product(block, block))
+    return frozenset(edges)
+
+
 def from_ordered_bipartition(bp: OrderedBipartition) -> Relation:
     """Build the relation a bipartition induces.
 
@@ -155,67 +179,32 @@ def from_ordered_bipartition(bp: OrderedBipartition) -> Relation:
         raise InvalidBipartition(
             f"blocks must partition 1..{n} exactly, got letters {letters}"
         )
-    edges = set()
-    for i, (block, flag) in enumerate(zip(bp.blocks, bp.flags)):
-        for later in bp.blocks[i + 1 :]:
-            edges.update(itertools.product(block, later))
-        if flag:
-            edges.update(itertools.product(block, block))
-    return Relation(n, frozenset(edges))
+    return Relation(n, _induced_edges(bp.blocks, bp.flags))
 
 
 def to_ordered_bipartition(relation: Relation) -> OrderedBipartition | None:
     """Recover the inducing bipartition, or None when there is none.
 
-    Letters are grouped when their pair statuses agree in both directions
-    (both edges present, or neither); candidate blocks are ordered by the
-    cross edges and flagged by their internal pairs.  The candidate is then
-    validated by exact reconstruction, which rejects every non-bipartitional
-    relation.
+    Under a bipartition a letter's out-row is every later block, plus its own
+    block when that block is underlined, so rows shrink block by block.  Two
+    blocks share a row only when an unflagged block comes right before an
+    underlined one, and then only the second carries loops.  Grouping the
+    letters by (out-row, loop) thus gives the blocks, and ordering the groups
+    by decreasing row, loopless first, gives their order.  The one candidate
+    is accepted exactly when the pairs it induces are the relation's edges.
     """
     n = relation.n
     edges = relation.edges
-
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    groups: dict[tuple[frozenset[int], bool], list[int]] = {}
     for x in range(1, n + 1):
-        for y in range(x + 1, n + 1):
-            if ((x, y) in edges) == ((y, x) in edges):
-                parent[find(x)] = find(y)
-
-    groups: dict[int, list[int]] = {}
-    for x in range(1, n + 1):
-        groups.setdefault(find(x), []).append(x)
-    blocks = [frozenset(group) for group in groups.values()]
-
-    # Order blocks by cross edges, checking one representative pair each;
-    # inconsistencies are caught by the reconstruction below.
-    wins = {block: 0 for block in blocks}
-    for one, other in itertools.combinations(blocks, 2):
-        x, y = min(one), min(other)
-        if (x, y) in edges and (y, x) not in edges:
-            wins[one] += 1
-        elif (y, x) in edges and (x, y) not in edges:
-            wins[other] += 1
-        else:
-            return None
-    ordered = sorted(blocks, key=lambda block: -wins[block])
-    if sorted(wins.values(), reverse=True) != list(range(len(blocks) - 1, -1, -1)):
+        row = frozenset(y for y in range(1, n + 1) if (x, y) in edges)
+        groups.setdefault((row, (x, x) in edges), []).append(x)
+    keys = sorted(groups, key=lambda key: (-len(key[0]), key[1]))
+    blocks = tuple(frozenset(groups[key]) for key in keys)
+    flags = tuple(int(loop) for _, loop in keys)
+    if _induced_edges(blocks, flags) != edges:
         return None
-
-    flags = tuple(
-        1 if (min(block), min(block)) in edges else 0 for block in ordered
-    )
-    candidate = OrderedBipartition(tuple(ordered), flags)
-    if from_ordered_bipartition(candidate).edges != edges:
-        return None
-    return candidate
+    return OrderedBipartition(blocks, flags)
 
 
 def _check_same_alphabet(relation: Relation, alpha: MultiplicityVector) -> None:
@@ -267,12 +256,16 @@ def is_essentially_bipartitional(
     (bit set meaning loop present, so all-loops-absent comes first), and it
     is found without the scan:
 
-    * grouping letters into blocks and ordering the blocks never reads a
-      loop, so every variant has the same candidate blocks;
+    * the variants agree on every pair of distinct letters, and those pairs
+      fix a bipartitional relation's blocks and their order: two letters
+      share a block exactly when both or neither of their pairs are present,
+      and pairs across blocks run from the earlier block to the later.  So
+      every bipartitional variant has the same blocks in the same order;
     * a free letter in a block of two or more letters must carry the
       block's flag, which its internal pairs fix: loop present exactly when
       some other letter has edges to and from it;
-    * a free letter alone in its block is valid either way, and has no such
+    * a free letter alone in its block is valid either way, since flipping a
+      one-letter block's flag toggles only its loop, and it has no such
       partner, since pairs across blocks run one way only.
 
     The valid assignments thus form a product, and the first one scanned

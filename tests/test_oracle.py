@@ -165,6 +165,22 @@ def test_verify_triple_sweep_fails_under_leftmost():
     assert frozenset({(1, 1), (2, 1)}) in witnesses
 
 
+@pytest.mark.parametrize("verify", [verify_theorem1, verify_theorem2])
+def test_sweeps_make_one_reconstruction_per_relation(monkeypatch, verify):
+    import mahonian.relations as relations_module
+
+    calls = []
+    real = relations_module.to_ordered_bipartition
+
+    def counted(relation):
+        calls.append(relation)
+        return real(relation)
+
+    monkeypatch.setattr(relations_module, "to_ordered_bipartition", counted)
+    assert verify(2, MultiplicityVector((2, 1))).relation_count == 16
+    assert len(calls) == 16
+
+
 def test_verify_sharded_matches_serial():
     serial = verify_theorem2(2, MultiplicityVector((2, 1)), tie_rule=TIE_LEFTMOST)
     sharded = verify_theorem2(

@@ -69,6 +69,9 @@ def test_polynomial_normalization_and_equality():
     for coeffs in ([True], [1, 0.0]):
         with pytest.raises(InvalidArguments):
             QPolynomial(coeffs)
+    for power in (1.0, True, -1):
+        with pytest.raises(InvalidArguments):
+            QPolynomial.monomial(power)
 
 
 def test_polynomial_arithmetic():
@@ -104,8 +107,9 @@ def test_q_binomial_small_values():
     assert q_binomial(3, 1) == QPolynomial((1, 1, 1))
     assert q_binomial(5, 0) == 1
     assert q_binomial(5, 5) == 1
-    with pytest.raises(InvalidArguments):
-        q_binomial(2, 3)
+    for n, k in ((2, 3), (2.0, 1), (2, 1.0), (True, 1)):
+        with pytest.raises(InvalidArguments):
+            q_binomial(n, k)
 
 
 def test_q_binomial_counts_box_partitions():
@@ -139,10 +143,16 @@ def test_q_multinomial_degree_and_total():
 
 
 def test_multinomial_rejects_negative_parts():
-    with pytest.raises(InvalidArguments):
-        multinomial((2, -1))
-    with pytest.raises(InvalidArguments):
-        q_multinomial((1, -2))
+    # and non-integer ones: True would be read as 1
+    for parts in ((2, -1), (1.5,), (True, 1)):
+        with pytest.raises(InvalidArguments):
+            multinomial(parts)
+        with pytest.raises(InvalidArguments):
+            q_multinomial(parts)
+    # 1.5 never reaches 0, so an unchecked recursion would not end
+    for j, k in ((-1, 2), (1.5, 1), (1, 1.5), (True, 1)):
+        with pytest.raises(InvalidArguments):
+            box_partition_counts(j, k)
 
 
 def enumerated_gf(relation, alpha):

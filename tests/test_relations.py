@@ -62,8 +62,15 @@ def test_relation_construction_and_membership():
     # integers are never coerced: int() would read 2.5 as 2 and "1" as 1
     with pytest.raises(InvalidArguments):
         Relation(2.5, frozenset({(2, 1)}))
-    with pytest.raises(InvalidArguments):
+    # a malformed pair is named as such, not as out of range
+    with pytest.raises(InvalidArguments, match=r"pair of integers, got tuple\[float, str\]"):
         Relation.from_pairs(2, [(2.7, "1")])
+    with pytest.raises(InvalidArguments, match=r"pair of integers, got tuple\[int\]"):
+        Relation.from_pairs(2, [(1,)])
+    with pytest.raises(InvalidArguments, match="outside 1..2 x 1..2"):
+        Relation.from_pairs(2, [(3, 1)])
+    with pytest.raises(InvalidArguments, match="pairs of integers"):
+        Relation.from_pairs(2, [([1], 2)])
 
 
 def test_relation_rejects_bool_letters():
@@ -239,6 +246,25 @@ def test_essential_predicate_needs_no_free_letter_cap():
     assert witness is not None
     assert len(witness.bipartition.blocks) == 25
     assert is_essentially_bipartitional(Relation(25, frozenset()), alpha) is not None
+
+
+def test_essential_predicate_makes_one_reconstruction(monkeypatch):
+    import mahonian.relations as relations_module
+
+    calls = []
+    real = relations_module.to_ordered_bipartition
+
+    def counted(relation):
+        calls.append(relation)
+        return real(relation)
+
+    monkeypatch.setattr(relations_module, "to_ordered_bipartition", counted)
+    for free in (0, 1, 3, 6):
+        alpha = MultiplicityVector((1,) * free + (2,) * (6 - free))
+        for u in (natural_order(6), full_relation(6), relation_from_mask(6, 0x5A5A5A5)):
+            calls.clear()
+            is_essentially_bipartitional(u, alpha)
+            assert len(calls) == 1
 
 
 def test_essential_requires_matching_alphabets():
