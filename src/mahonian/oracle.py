@@ -15,10 +15,25 @@ any relation where predicate and enumeration disagree.
 
 A sweep never reruns the per-word statistics per relation.  Every statistic
 is a sum over the relation's pairs of a per-word profile (see
-statistics.inversion_profile), so the sweep streams the class once, keeps
-each distinct profile with its multiplicity, and visits the masks in
-Gray-code order: each step flips one pair and moves every value by that
-pair's profile entry.
+statistics.inversion_profile), so the sweep streams the class once and
+keeps each distinct profile with its multiplicity.  With u the relation's
+bit vector, a statistic's second moment over the class (the sum of its
+squared values) is u^T G u for the Gram matrix G of its profiles, so one
+quadratic form u^T D u, built from the differences of the Gram matrices,
+vanishes whenever the statistics are equidistributed.  The sweep visits the
+masks in Gray-code order, where each step flips one pair and moves the form
+with O(n^2) work.  A nonzero form proves that the distributions differ;
+only the masks where it vanishes get the exact check, which sums the
+profiles over the mask and compares the histograms.  Equal second moments
+have matched equidistribution on every class tried, but that is an
+observation, so the exact check stays.
+
+The predicate side is generated once per sweep, not tested mask by mask:
+the essentially bipartitional relations are the bipartitional ones with any
+loops on letters of multiplicity 1 toggled, and the relations meeting the
+sorting conditions are the qualifying unflagged bipartitional ones with any
+loops on letters of multiplicity at most 1 added.  A mask's predicate is a
+set lookup, so no swept relation is built or tested.
 
 Distributions and sweeps share one sharded path, _run_sharded: the work is
 cut into contiguous ranges (of class ranks for a distribution, of Gray-code
@@ -32,10 +47,11 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, combinations, product, repeat
 from operator import add, sub
 from typing import Iterator, Sequence
 
@@ -44,7 +60,7 @@ from .qseries import QPolynomial
 from .relations import (
     Relation,
     _check_same_alphabet,
-    is_essentially_bipartitional,
+    _induced_edges,
     natural_order,
     relation_to_json_dict,
     satisfies_sorting_conditions,
@@ -196,11 +212,15 @@ def relation_from_mask(n: int, mask: int) -> Relation:
     return Relation(n, edges)
 
 
-def relation_to_mask(relation: Relation) -> int:
+def _mask_of(n: int, edges) -> int:
     mask = 0
-    for x, y in relation.edges:
-        mask |= 1 << ((x - 1) * relation.n + (y - 1))
+    for x, y in edges:
+        mask |= 1 << ((x - 1) * n + (y - 1))
     return mask
+
+
+def relation_to_mask(relation: Relation) -> int:
+    return _mask_of(relation.n, relation.edges)
 
 
 def _check_alphabet(n: int, max_alphabet: int) -> None:
@@ -291,9 +311,146 @@ class VerificationReport:
         }
 
 
-def _tally(values: list[int], multiplicities: list[int]) -> dict[int, int]:
+def _ordered_partitions(letters: frozenset[int]) -> Iterator[tuple[frozenset[int], ...]]:
+    """Every ordered set partition of the letters (a Fubini number of them)."""
+    if not letters:
+        yield ()
+        return
+    for size in range(1, len(letters) + 1):
+        for first in combinations(sorted(letters), size):
+            block = frozenset(first)
+            for rest in _ordered_partitions(letters - block):
+                yield (block, *rest)
+
+
+def _loop_masks(n: int, letters) -> list[int]:
+    """Masks of every subset of the loops on the given letters."""
+    masks = [0]
+    for x in letters:
+        loop = _mask_of(n, [(x, x)])
+        masks += [mask | loop for mask in masks]
+    return masks
+
+
+def _essential_masks(alpha: MultiplicityVector) -> set[int]:
+    """Masks of the relations essentially bipartitional relative to the
+    class: every bipartitional relation with any subset of the loops on
+    letters of multiplicity 1 toggled."""
+    n = alpha.n
+    toggles = _loop_masks(n, [x for x in range(1, n + 1) if alpha.count_of(x) == 1])
+    found = set()
+    for blocks in _ordered_partitions(frozenset(range(1, n + 1))):
+        for flags in product((0, 1), repeat=len(blocks)):
+            mask = _mask_of(n, _induced_edges(blocks, flags))
+            found.update(mask ^ toggle for toggle in toggles)
+    return found
+
+
+def _sorting_masks(alpha: MultiplicityVector) -> set[int]:
+    """Masks of the relations meeting the sorting conditions.
+
+    The conditions read only the effective core, and the first one makes it
+    the relation of an unflagged bipartition, hence loop-free.  So each
+    unflagged bipartitional relation is tested once, and an accepted one
+    stands for itself plus any subset of the loops the core drops: those on
+    letters of multiplicity at most 1.
+    """
+    n = alpha.n
+    loops = _loop_masks(n, [x for x in range(1, n + 1) if alpha.count_of(x) <= 1])
+    found = set()
+    for blocks in _ordered_partitions(frozenset(range(1, n + 1))):
+        edges = _induced_edges(blocks, (0,) * len(blocks))
+        if satisfies_sorting_conditions(Relation(n, edges), alpha)[0]:
+            mask = _mask_of(n, edges)
+            found.update(mask | loop for loop in loops)
+    return found
+
+
+def _gram(tally: dict[tuple[int, ...], int], size: int) -> list[list[int]]:
+    """The sum of mult * P P^T over the distinct profiles P, so u^T G u is the
+    statistic's second moment over the class under the relation with bit
+    vector u."""
+    gram = [[0] * size for _ in range(size)]
+    for profile, count in tally.items():
+        support = [(b, value) for b, value in enumerate(profile) if value]
+        for a, value in support:
+            row, weight = gram[a], count * value
+            for b, other in support:
+                row[b] += weight * other
+    return gram
+
+
+def _moment_form(tallies, size: int) -> list[list[int]]:
+    """A symmetric D with u^T D u = 0 exactly when every statistic after the
+    first has the first one's second moment under the relation u.
+
+    For two statistics D is the difference of their Gram matrices.  Each
+    further gap E is added to the form so far scaled past it: |u^T E u| is at
+    most the sum of |E|'s entries, below the scale, so the terms cannot
+    cancel.
+    """
+    first = _gram(tallies[0], size)
+    form = [[0] * size for _ in range(size)]
+    for tally in tallies[1:]:
+        gap = [list(map(sub, a, b)) for a, b in zip(first, _gram(tally, size))]
+        scale = 1 + sum(abs(v) for row in gap for v in row)
+        form = [
+            [scale * f + g for f, g in zip(form_row, gap_row)]
+            for form_row, gap_row in zip(form, gap)
+        ]
+    return form
+
+
+def _moment_walk(form: list[list[int]], start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """(mask, u^T D u) for the masks at Gray-code ranks [start, stop).
+
+    Rank k visits mask k ^ (k >> 1), which differs from the previous mask in
+    one bit b.  With r = D u, setting b moves the form by 2 r_b + D_bb and
+    clearing it by D_bb - 2 r_b (D is symmetric), and r moves by +-D[b].
+    r is packed into one integer, one fixed-width lane per entry offset by
+    a bias above any |r_a| (at most the sum of |D[a]|), so moving r is one
+    integer add and reading r_b one shift and mask.
+    """
+    size = len(form)
+    bias = 1 << max(sum(map(abs, row)) for row in form).bit_length()
+    lane = 2 * bias - 1
+    shifts = [b * lane.bit_length() for b in range(size)]
+
+    def pack(values) -> int:
+        return sum(value << shift for value, shift in zip(values, shifts))
+
+    columns = [pack(row) for row in form]
+    diagonal = [form[b][b] for b in range(size)]
+    mask = start ^ (start >> 1)
+    bits = [b for b in range(size) if mask >> b & 1]
+    r = [sum(row[b] for b in bits) for row in form]
+    gap = sum(r[b] for b in bits)
+    packed = pack(value + bias for value in r)
+    for rank in range(start, stop):
+        if rank > start:
+            bit = (rank & -rank).bit_length() - 1
+            mask ^= 1 << bit
+            r_bit = (packed >> shifts[bit] & lane) - bias
+            if mask >> bit & 1:
+                gap += 2 * r_bit + diagonal[bit]
+                packed += columns[bit]
+            else:
+                gap += diagonal[bit] - 2 * r_bit
+                packed -= columns[bit]
+        yield mask, gap
+
+
+def _histogram(
+    columns: list[tuple[int, ...]], counts: list[int], bits: list[int]
+) -> dict[int, int]:
+    """A statistic's histogram over the class under the relation with the
+    given bits: columns[b] holds entry b of each distinct profile, and
+    counts[i] is the number of words sharing profile i."""
+    values = repeat(0)
+    for b in bits:
+        values = map(add, values, columns[b])
     histogram: dict[int, int] = {}
-    for value, count in zip(values, multiplicities):
+    for value, count in zip(values, counts):
         histogram[value] = histogram.get(value, 0) + count
     return histogram
 
@@ -303,49 +460,26 @@ def _sweep_worker(job) -> list[tuple[int, bool, bool]]:
 
     Each class word contributes one profile per statistic (see
     statistics.inversion_profile), identical profiles merged with their
-    multiplicities; a statistic's value under a relation is its profile
-    summed over the relation's bits.  Rank k visits mask k ^ (k >> 1), which
-    differs from the previous mask in one bit b, so every value moves by
-    +-P[b] per step.
+    multiplicities.  A nonzero second-moment form (see _moment_form and
+    _moment_walk) settles that the statistics are not equidistributed;
+    where it vanishes, the exact check sums each distinct profile over the
+    mask's bits and compares the histograms.  The predicate is a lookup in
+    the generated set of masks it accepts.
     """
-    check, n, alpha, tie_rule, start, stop = job
-    builders = [inversion_profile, major_profile]
-    if check == CHECK_INV_MAJ_SOR:
-        builders.append(partial(sorting_profile, tie_rule=tie_rule))
-    tallies: list[dict[tuple[int, ...], int]] = [{} for _ in builders]
+    n, alpha, builders, accepted, start, stop = job
+    tallies: list[Counter[tuple[int, ...]]] = [Counter() for _ in builders]
     for word in rearrangement_class(alpha, None):
         for build, tally in zip(builders, tallies):
-            profile = build(n, word.letters)
-            tally[profile] = tally.get(profile, 0) + 1
-    multiplicities = [list(tally.values()) for tally in tallies]
-    # columns[s][b]: entry b of every distinct profile of statistic s
-    columns = [list(zip(*tally)) for tally in tallies]
-
-    mask = start ^ (start >> 1)
-    bits = [b for b in range(n * n) if mask >> b & 1]
-    values = [
-        [sum(profile[b] for b in bits) for profile in tally] for tally in tallies
-    ]
+            tally[build(n, word.letters)] += 1
+    stats = [(list(zip(*tally)), list(tally.values())) for tally in tallies]
     found = []
-    for rank in range(start, stop):
-        if rank > start:
-            bit = (rank & -rank).bit_length() - 1
-            mask ^= 1 << bit
-            step = add if mask >> bit & 1 else sub
-            values = [
-                list(map(step, stat_values, stat_columns[bit]))
-                for stat_values, stat_columns in zip(values, columns)
-            ]
-        first = _tally(values[0], multiplicities[0])
-        equal = all(
-            _tally(stat_values, stat_counts) == first
-            for stat_values, stat_counts in zip(values[1:], multiplicities[1:])
-        )
-        relation = relation_from_mask(n, mask)
-        if check == CHECK_INV_MAJ:
-            predicate = is_essentially_bipartitional(relation, alpha) is not None
-        else:
-            predicate = satisfies_sorting_conditions(relation, alpha)[0]
+    for mask, gap in _moment_walk(_moment_form(tallies, n * n), start, stop):
+        equal = not gap
+        if equal:
+            bits = [b for b in range(n * n) if mask >> b & 1]
+            first, *rest = (_histogram(*stat, bits) for stat in stats)
+            equal = all(histogram == first for histogram in rest)
+        predicate = mask in accepted
         if predicate != equal:
             found.append((mask, predicate, equal))
     return found
@@ -367,8 +501,14 @@ def _verify(
     _check_class(alpha, max_class)
     count = 1 << (n * n)
     started = time.perf_counter()
-    worker_rule = tie_rule if tie_rule is not None else DEFAULT_TIE_RULE
-    job = (check, n, alpha, worker_rule)
+    if check == CHECK_INV_MAJ:
+        builders = (inversion_profile, major_profile)
+        accepted = _essential_masks(alpha)
+    else:
+        sor = partial(sorting_profile, tie_rule=tie_rule)
+        builders = (inversion_profile, major_profile, sor)
+        accepted = _sorting_masks(alpha)
+    job = (n, alpha, builders, accepted)
     found = sorted(chain.from_iterable(_run_sharded(_sweep_worker, job, count, jobs)))
     elapsed = time.perf_counter() - started
     disagreements = tuple(

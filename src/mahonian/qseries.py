@@ -64,7 +64,7 @@ class QPolynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, QPolynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, int):
+        if type(other) is int:
             return self.coeffs == ((other,) if other else ())
         return NotImplemented
 
@@ -84,8 +84,8 @@ class QPolynomial:
 
     def __mul__(self, other) -> "QPolynomial":
         if isinstance(other, int):
-            if other < 0:
-                raise InvalidArguments("scalar must be >= 0")
+            if type(other) is not int or other < 0:
+                raise InvalidArguments(f"scalar must be an integer >= 0, got {other!r}")
             return QPolynomial(tuple(c * other for c in self.coeffs))
         if not isinstance(other, QPolynomial):
             return NotImplemented

@@ -166,19 +166,33 @@ def test_verify_triple_sweep_fails_under_leftmost():
 
 
 @pytest.mark.parametrize("verify", [verify_theorem1, verify_theorem2])
-def test_sweeps_make_one_reconstruction_per_relation(monkeypatch, verify):
+def test_sweeps_build_no_relation_per_swept_mask(monkeypatch, verify):
+    """Of the 512 relations swept, only the 13 generated sorting-condition
+    candidates (the unflagged bipartitions of three letters, each built and
+    cut to its effective core) and the reported disagreements get a
+    Relation or a bipartition reconstruction; besides these, each of the 12
+    words gets its sorting profile from a trace under the empty relation."""
     import mahonian.relations as relations_module
 
-    calls = []
-    real = relations_module.to_ordered_bipartition
+    builds, reconstructions = [], []
+    real_init = Relation.__post_init__
+    real_reconstruct = relations_module.to_ordered_bipartition
 
-    def counted(relation):
-        calls.append(relation)
-        return real(relation)
+    def counted_init(self):
+        builds.append(self)
+        real_init(self)
 
-    monkeypatch.setattr(relations_module, "to_ordered_bipartition", counted)
-    assert verify(2, MultiplicityVector((2, 1))).relation_count == 16
-    assert len(calls) == 16
+    def counted_reconstruct(relation):
+        reconstructions.append(relation)
+        return real_reconstruct(relation)
+
+    monkeypatch.setattr(Relation, "__post_init__", counted_init)
+    monkeypatch.setattr(relations_module, "to_ordered_bipartition", counted_reconstruct)
+    report = verify(3, MultiplicityVector((1, 1, 2)))
+    assert report.relation_count == 512
+    candidates, traces = (13, 12) if verify is verify_theorem2 else (0, 0)
+    assert len(builds) <= 2 * candidates + traces + len(report.disagreements) < 512
+    assert len(reconstructions) <= candidates
 
 
 def test_verify_sharded_matches_serial():
@@ -264,6 +278,21 @@ def test_sweeps_match_the_per_relation_route(counts):
             assert as_rows(report) == expected[rule]
 
 
+@pytest.mark.parametrize("counts", [(2, 1), (1, 1, 2)], ids=str)
+def test_exact_check_alone_matches_the_per_relation_route(monkeypatch, counts):
+    """With a moment form that vanishes everywhere, every mask goes to the
+    exact histogram check, and the sweeps still match the per-relation
+    route."""
+    monkeypatch.setattr(
+        oracle, "_moment_form", lambda tallies, size: [[0] * size for _ in range(size)]
+    )
+    n, alpha = len(counts), MultiplicityVector(counts)
+    expected = slow_sweeps(n, alpha)
+    assert as_rows(verify_theorem1(n, alpha)) == expected["thm1"]
+    for rule in TIE_RULES:
+        assert as_rows(verify_theorem2(n, alpha, tie_rule=rule)) == expected[rule]
+
+
 def test_jobs_below_one_are_rejected():
     alpha = MultiplicityVector((1, 1))
     for jobs in (0, -3):
@@ -315,6 +344,37 @@ def test_worker_count_is_clamped(monkeypatch):
     started.clear()
     assert verify_theorem1(2, alpha, jobs=8).ok
     assert started == []
+
+
+@pytest.mark.parametrize("counts", [(2, 1, 1, 1), (2, 2, 1, 1)], ids=str)
+def test_n4_sweeps_pass_with_repeated_letters(counts):
+    """Both theorems (the sorting index under the rightmost rule) hold on all
+    65,536 relations on four letters for classes mixing free and repeated
+    letters."""
+    alpha = MultiplicityVector(counts)
+    assert verify_theorem1(4, alpha, max_alphabet=4).ok
+    assert verify_theorem2(4, alpha, tie_rule=TIE_RIGHTMOST, max_alphabet=4).ok
+
+
+GENERATED_SET_CLASSES = [
+    counts for n in (1, 2, 3) for counts in itertools.product(range(3), repeat=n)
+] + [(2, 2, 1, 1)]
+
+
+@pytest.mark.parametrize("counts", GENERATED_SET_CLASSES, ids=str)
+def test_generated_predicate_sets_match_the_predicates(counts):
+    """The sweep's generated essential and sorting-condition sets equal the
+    public predicates run on every relation."""
+    n, alpha = len(counts), MultiplicityVector(counts)
+    essential, sorting = set(), set()
+    for mask in range(1 << (n * n)):
+        relation = relation_from_mask(n, mask)
+        if is_essentially_bipartitional(relation, alpha) is not None:
+            essential.add(mask)
+        if satisfies_sorting_conditions(relation, alpha)[0]:
+            sorting.add(mask)
+    assert oracle._essential_masks(alpha) == essential
+    assert oracle._sorting_masks(alpha) == sorting
 
 
 def test_full_n4_sweeps_within_budget():

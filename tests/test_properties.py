@@ -1,13 +1,18 @@
 """Property tests: profile linearity, bipartition reconstruction against the
 closure route, the one-shot essential predicate against the exhaustive
 loop-assignment scan it replaced, ranged class enumeration against a
-brute-force class, and the block code round trip on random qualifying
-relations."""
+brute-force class, the block code round trip on random qualifying
+relations, the sweep's incrementally tracked second-moment form against
+moments computed directly, and the complement identity."""
 
+from collections import Counter
+from functools import partial
 from itertools import permutations
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import mahonian.oracle as oracle
 
 from mahonian import (
     EssentialWitness,
@@ -20,13 +25,16 @@ from mahonian import (
     bcode_encode,
     class_size,
     code_count,
+    complement,
     enumerate_codes,
+    equidistributed,
     from_ordered_bipartition,
     graphical_inversions,
     graphical_major_index,
     graphical_sorting_index,
     is_bipartitional,
     is_essentially_bipartitional,
+    rearrangement_class,
     rearrangement_class_range,
     relation_from_mask,
     to_ordered_bipartition,
@@ -213,3 +221,70 @@ def test_bcode_round_trips_on_qualifying_relations(case, data):
     assert len(codes) == size
     for code in data.draw(st.lists(st.sampled_from(codes), min_size=1, max_size=5)):
         assert bcode_encode(relation, bcode_decode(relation, alpha, code)) == code
+
+
+@st.composite
+def gray_walks(draw):
+    """A class with n <= 3 and counts <= 2, the sorting index's tie rule (None
+    for the inversion and major-index pair alone), and a run of Gray-code
+    ranks."""
+    n = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    rule = draw(st.one_of(st.none(), st.sampled_from(TIE_RULES)))
+    start = draw(st.integers(0, (1 << (n * n)) - 1))
+    stop = draw(st.integers(start + 1, min(start + 40, 1 << (n * n))))
+    return MultiplicityVector(tuple(counts)), rule, start, stop
+
+
+@settings(max_examples=200, deadline=None)
+@given(gray_walks())
+# every relation on two letters, equidistributed ones included
+@example((MultiplicityVector((1, 2)), None, 0, 16))
+@example((MultiplicityVector((1, 2)), TIE_RIGHTMOST, 0, 16))
+def test_moment_walk_tracks_the_second_moment_gap(case):
+    """The form tracked step by step equals sum(inv^2) - sum(maj^2) over the
+    class, computed with the public kernels; with the sorting index too, it
+    vanishes exactly when both gaps to inv do."""
+    alpha, rule, start, stop = case
+    n = alpha.n
+    words = [word.letters for word in rearrangement_class(alpha)]
+    builders = [inversion_profile, major_profile]
+    kernels = [graphical_inversions, graphical_major_index]
+    if rule is not None:
+        builders.append(partial(sorting_profile, tie_rule=rule))
+        kernels.append(partial(graphical_sorting_index, tie_rule=rule))
+    tallies = [Counter(build(n, letters) for letters in words) for build in builders]
+    walked = list(oracle._moment_walk(oracle._moment_form(tallies, n * n), start, stop))
+    assert [mask for mask, _ in walked] == [k ^ (k >> 1) for k in range(start, stop)]
+    for mask, gap in walked:
+        relation = relation_from_mask(n, mask)
+        squares = [sum(kernel(relation, w) ** 2 for w in words) for kernel in kernels]
+        gaps = [squares[0] - other for other in squares[1:]]
+        if rule is None:
+            assert gap == gaps[0]
+        else:
+            assert (gap == 0) == (gaps == [0, 0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.integers(0, (1 << (n * n)) - 1).map(lambda m: relation_from_mask(n, m)),
+            st.lists(st.integers(0, 2), min_size=n, max_size=n).map(
+                lambda counts: MultiplicityVector(tuple(counts))
+            ),
+        )
+    )
+)
+def test_complement_keeps_inv_maj_equidistribution(case):
+    """inv and maj are equidistributed under U exactly when they are under its
+    complement, and the generated essential set is closed under complement."""
+    relation, alpha = case
+    stats = ["inv-graphical", "maj-graphical"]
+    assert equidistributed(stats, alpha, relation) == equidistributed(
+        stats, alpha, complement(relation)
+    )
+    full = (1 << (alpha.n * alpha.n)) - 1
+    essential = oracle._essential_masks(alpha)
+    assert {mask ^ full for mask in essential} == essential

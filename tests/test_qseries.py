@@ -72,6 +72,12 @@ def test_polynomial_normalization_and_equality():
     for power in (1.0, True, -1):
         with pytest.raises(InvalidArguments):
             QPolynomial.monomial(power)
+    # a bool is not an integer scalar
+    assert QPolynomial((1,)).__eq__(True) is NotImplemented
+    assert QPolynomial((1,)) != True  # noqa: E712
+    for scale in (lambda p: p * True, lambda p: False * p):
+        with pytest.raises(InvalidArguments):
+            scale(QPolynomial((1, 2)))
 
 
 def test_polynomial_arithmetic():
