@@ -409,7 +409,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_common(p, relation=True, alpha=True)
     p.add_argument("--stat", choices=STAT_IDS, required=True)
     _add_tie_rule(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="parallel workers for the sor enumeration (inv and maj use a DP)",
+    )
     p.add_argument(
         "--max-class",
         type=int,

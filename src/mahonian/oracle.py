@@ -1,11 +1,13 @@
-"""Brute-force distributions and exhaustive equidistribution sweeps.
+"""Exact distributions and exhaustive equidistribution sweeps.
 
-Distributions walk a whole rearrangement class and score every word with
-the per-word statistic functions.  The verifiers walk every relation on the
-alphabet (all 2^(n*n) bitmasks) and compare two routes: the structural
-predicates in relations.py, and whether the statistics are equidistributed
-over the class.  These are the ground-truth checks the predicates are
-tested against.
+The inv and maj distributions come from a transfer-matrix DP over residual
+multiplicity vectors (plus the last letter for maj), which visits no word
+of the class; the sorting index has no such recursion here, so its
+distribution walks the whole class and sorts every word.  The verifiers
+walk every relation on the alphabet (all 2^(n*n) bitmasks) and compare two
+routes: the structural predicates in relations.py, and whether the
+statistics are equidistributed over the class.  These are the ground-truth
+checks the predicates are tested against.
 
 verify_theorem1 sweeps the equivalence "inv and maj variants are
 equidistributed over the class iff the relation is essentially
@@ -35,12 +37,13 @@ sorting conditions are the qualifying unflagged bipartitional ones with any
 loops on letters of multiplicity at most 1 added.  A mask's predicate is a
 set lookup, so no swept relation is built or tested.
 
-Distributions and sweeps share one sharded path, _run_sharded: the work is
-cut into contiguous ranges (of class ranks for a distribution, of Gray-code
-ranks for a sweep), one per worker process and at most one per CPU, and a
-single range runs in the calling process.  Arguments are validated in the
-caller, and a job carries the validated relation and class themselves, not
-a description for each worker to rebuild.
+The sor distribution and the sweeps share one sharded path, _run_sharded:
+the work is cut into contiguous ranges (of class ranks for a distribution,
+of Gray-code ranks for a sweep), one per worker process and at most one
+per CPU, and a single range runs in the calling process.  Arguments are
+validated in the caller, and a job carries the validated relation and
+class themselves, not a description for each worker to rebuild, so the
+workers call the unchecked sort.
 """
 
 from __future__ import annotations
@@ -67,9 +70,8 @@ from .relations import (
 )
 from .statistics import (
     DEFAULT_TIE_RULE,
-    graphical_inversions,
-    graphical_major_index,
-    graphical_sorting_index,
+    _check_rule,
+    _selection_sort,
     inversion_profile,
     major_profile,
     sorting_profile,
@@ -91,8 +93,9 @@ CHECK_INV_MAJ = "inv-maj vs essentially-bipartitional"
 CHECK_INV_MAJ_SOR = "inv-maj-sor vs sorting-conditions"
 
 
-def _evaluator(stat: str, alpha: MultiplicityVector, relation, tie_rule: str):
-    """Map a statistic id to a picklable letters -> value function.
+def _resolve(stat: str, alpha: MultiplicityVector, relation) -> tuple[str, Relation]:
+    """The base statistic (inv, maj or sor) of a statistic id and the
+    relation it is scored under.
 
     Classical ids always use the strict natural order on the class's own
     alphabet; the graphical ids require an explicit relation.
@@ -101,19 +104,12 @@ def _evaluator(stat: str, alpha: MultiplicityVector, relation, tie_rule: str):
         raise InvalidArguments(
             f"unknown statistic {stat!r}, expected one of {STAT_IDS}"
         )
-    if stat.endswith("-graphical"):
-        if relation is None:
-            raise InvalidArguments(f"statistic {stat} needs a relation")
-        _check_same_alphabet(relation, alpha)
-        base = stat[: -len("-graphical")]
-    else:
-        base = stat
-        relation = natural_order(alpha.n)
-    if base == "inv":
-        return partial(graphical_inversions, relation)
-    if base == "maj":
-        return partial(graphical_major_index, relation)
-    return partial(graphical_sorting_index, relation, tie_rule=tie_rule)
+    if not stat.endswith("-graphical"):
+        return stat, natural_order(alpha.n)
+    if relation is None:
+        raise InvalidArguments(f"statistic {stat} needs a relation")
+    _check_same_alphabet(relation, alpha)
+    return stat[: -len("-graphical")], relation
 
 
 def _check_jobs(jobs: int) -> None:
@@ -140,6 +136,64 @@ def _run_sharded(worker, job: tuple, count: int, jobs: int) -> list:
         return list(pool.map(worker, batches))
 
 
+def _add_shifted(polys: dict, state, low: int, coeffs: list[int]) -> None:
+    """Add q^low times the coefficients into polys[state].
+
+    A polynomial is kept as its lowest exponent and the dense coefficients
+    from there, so a long word's early shifts cost no leading zeros.
+    """
+    held = polys.get(state)
+    if held is None:
+        polys[state] = (low, list(coeffs))
+        return
+    held_low, held_coeffs = held
+    if low < held_low:
+        held_coeffs[:0] = repeat(0, held_low - low)
+        held_low = low
+        polys[state] = (low, held_coeffs)
+    start = low - held_low
+    end = start + len(coeffs)
+    if len(held_coeffs) < end:
+        held_coeffs.extend(repeat(0, end - len(held_coeffs)))
+    held_coeffs[start:end] = map(add, held_coeffs[start:end], coeffs)
+
+
+def _transfer_polynomial(base: str, edges, counts: tuple[int, ...]) -> QPolynomial:
+    """Distribution of inv or maj over the class, by a transfer-matrix DP
+    that builds the words letter by letter without visiting one.
+
+    Layer k holds, for each state, the polynomial of the statistic over the
+    prefixes of length k that lead to it.  A state is the residual
+    multiplicity vector, and for maj also the last letter placed (0 before
+    the first).  Placing x adds to inv the letters y with (x, y) in the
+    relation still to come after it, which the residual vector counts; it
+    adds to maj the k letters already placed when (last, x) is a pair.
+    """
+    n = len(counts)
+    after = [[y for y in range(n) if (x + 1, y + 1) in edges] for x in range(n)]
+    layer = {(counts, 0): (0, [1])}
+    for placed in range(sum(counts)):
+        following: dict = {}
+        for (residual, last), (low, coeffs) in layer.items():
+            for x, left in enumerate(residual):
+                if not left:
+                    continue
+                rest = residual[:x] + (left - 1,) + residual[x + 1 :]
+                if base == "inv":
+                    shift = sum(rest[y] for y in after[x])
+                    state = (rest, 0)
+                else:
+                    shift = placed if (last, x + 1) in edges else 0
+                    state = (rest, x + 1)
+                _add_shifted(following, state, low + shift, coeffs)
+        layer = following
+    total: dict = {}
+    for low, coeffs in layer.values():
+        _add_shifted(total, None, low, coeffs)
+    low, coeffs = total[None]
+    return QPolynomial([0] * low + coeffs)
+
+
 def _histogram_to_polynomial(histogram: dict[int, int]) -> QPolynomial:
     if not histogram:
         return QPolynomial.zero()
@@ -149,11 +203,11 @@ def _histogram_to_polynomial(histogram: dict[int, int]) -> QPolynomial:
     return QPolynomial(coeffs)
 
 
-def _histogram_worker(job) -> dict[int, int]:
-    evaluate, alpha, start, stop = job
+def _sorting_worker(job) -> dict[int, int]:
+    edges, tie_rule, alpha, start, stop = job
     histogram: dict[int, int] = {}
     for word in rearrangement_class_range(alpha, start, stop):
-        value = evaluate(word.letters)
+        value = _selection_sort(edges, word.letters, tie_rule, False)[0]
         histogram[value] = histogram.get(value, 0) + 1
     return histogram
 
@@ -168,12 +222,20 @@ def distribution(
     jobs: int = 1,
 ) -> QPolynomial:
     """Distribution polynomial of the statistic over the class: the
-    coefficient of q^k counts the words with value k."""
+    coefficient of q^k counts the words with value k.
+
+    inv and maj come from the transfer-matrix DP; sor enumerates the class,
+    in up to jobs worker processes.  The class cap applies to all three.
+    """
     _check_jobs(jobs)
     size = _check_class(alpha, max_class)
-    job = (_evaluator(stat, alpha, relation, tie_rule), alpha)
+    base, relation = _resolve(stat, alpha, relation)
+    if base != "sor":
+        return _transfer_polynomial(base, relation.edges, alpha.counts)
+    _check_rule(tie_rule)
+    job = (relation.edges, tie_rule, alpha)
     histogram: dict[int, int] = {}
-    for part in _run_sharded(_histogram_worker, job, size, jobs):
+    for part in _run_sharded(_sorting_worker, job, size, jobs):
         for value, count in part.items():
             histogram[value] = histogram.get(value, 0) + count
     return _histogram_to_polynomial(histogram)

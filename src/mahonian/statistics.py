@@ -134,8 +134,9 @@ def _check_rule(tie_rule: str) -> None:
         )
 
 
-def _selection_sort(relation, letters, tie_rule, want_steps):
-    edges = relation.edges
+def _selection_sort(edges, letters, tie_rule, want_steps):
+    """The sort of the letters, scored against the edge set; the rule and the
+    letters are the caller's to check."""
     work = list(letters)
     labels = list(range(len(work)))  # positions in the original word
     total = 0
@@ -177,7 +178,7 @@ def graphical_sorting_index(
 ) -> int:
     _check_rule(tie_rule)
     letters = _checked_letters(relation.n, word)
-    total, _, _ = _selection_sort(relation, letters, tie_rule, False)
+    total, _, _ = _selection_sort(relation.edges, letters, tie_rule, False)
     return total
 
 
@@ -188,7 +189,7 @@ def graphical_sorting_trace(
     m down to 1 and the final letters are the ascending rearrangement."""
     _check_rule(tie_rule)
     letters = _checked_letters(relation.n, word)
-    total, steps, final = _selection_sort(relation, letters, tie_rule, True)
+    total, steps, final = _selection_sort(relation.edges, letters, tie_rule, True)
     return SortTrace(tie_rule, tuple(steps), final)
 
 
@@ -239,13 +240,14 @@ def sorting_profile(
     is the sum of the entries over the pairs of U.
 
     The mover of each step never depends on the relation, so the moves are
-    read off one trace under the empty relation.
+    read off one sort over the empty edge set.
     """
-    letters = _letters_of(word)
-    trace = graphical_sorting_trace(Relation(n, frozenset()), letters, tie_rule)
+    _check_rule(tie_rule)
+    letters = _checked_letters(n, word)
+    _, steps, _ = _selection_sort(frozenset(), letters, tie_rule, True)
     profile = [0] * (n * n)
     work = list(letters)
-    for step in trace.steps:
+    for step in steps:
         j, i = step.mover_position - 1, step.target_position - 1
         row = (step.letter - 1) * n - 1
         for h in range(j + 1, i + 1):

@@ -14,6 +14,7 @@ from mahonian import (
     ClassTooLarge,
     InvalidArguments,
     MultiplicityVector,
+    OrderedBipartition,
     QPolynomial,
     Relation,
     STAT_IDS,
@@ -24,6 +25,8 @@ from mahonian import (
     UniverseTooLarge,
     distribution,
     equidistributed,
+    from_ordered_bipartition,
+    gf_bipartitional,
     graphical_inversions,
     graphical_major_index,
     graphical_sorting_index,
@@ -77,9 +80,107 @@ def test_graphical_ids_require_a_matching_relation():
         distribution("descents", alpha)
 
 
+def test_sorting_distribution_checks_the_tie_rule():
+    # the tie rule is checked once per call, before any word is sorted
+    with pytest.raises(InvalidArguments):
+        distribution("sor", MultiplicityVector((1, 1)), tie_rule="nearest")
+
+
 def test_distribution_respects_the_class_cap():
     with pytest.raises(ClassTooLarge):
         distribution("inv", MultiplicityVector((2, 2)), max_class=5)
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """A serial stand-in for the process pool on a 4-CPU machine; the list
+    records the worker count of every pool started."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, batches):
+            return map(fn, batches)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+    return started
+
+
+@pytest.mark.parametrize("stat", ["inv", "maj", "inv-graphical", "maj-graphical"])
+def test_inv_maj_distributions_visit_no_word(monkeypatch, pool_starts, stat):
+    """The DP calls no per-word kernel, enumerates no word and starts no
+    pool, however many jobs are asked for; the class cap still applies."""
+    import mahonian.statistics as statistics_module
+    import mahonian.words as words_module
+
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, names in (
+        (words_module, ["rearrangement_class_range", "unrank_word", "_next_permutation"]),
+        (oracle, ["rearrangement_class", "rearrangement_class_range", "_selection_sort"]),
+        (statistics_module, [
+            "graphical_inversions", "graphical_major_index",
+            "graphical_sorting_index", "_selection_sort",
+        ]),
+    ):
+        for name in names:
+            counted(module, name)
+    alpha = MultiplicityVector((2, 1, 2))
+    u = Relation.from_pairs(3, [(2, 1), (3, 1), (1, 3), (2, 2)])
+    got = distribution(stat, alpha, u, jobs=10**9)
+    assert calls == [] and pool_starts == []
+    assert got(1) == 30
+    with pytest.raises(ClassTooLarge):
+        distribution(stat, MultiplicityVector((2, 2)), u, max_class=5)
+
+
+def test_inv_maj_distributions_of_a_large_class():
+    """(3,3,3,3,3) has 168,168,000 words, far past the default cap; without
+    the cap the DP still gives the closed form within a second."""
+    alpha = MultiplicityVector((3,) * 5)
+    bp = OrderedBipartition(({5, 2}, {3}, {1, 4}), (1, 0, 1))
+    u = from_ordered_bipartition(bp)
+    closed = gf_bipartitional(alpha, bp)
+    assert closed(1) == 168_168_000
+    for stat in ("inv-graphical", "maj-graphical"):
+        start = time.perf_counter()
+        got = distribution(stat, alpha, u, max_class=None)
+        elapsed = time.perf_counter() - start
+        assert got == closed, stat
+        assert elapsed < 1, f"{stat} took {elapsed:.2f}s of its 1s budget"
+
+
+def test_inv_maj_distributions_of_a_long_word():
+    """The one word of (600) under the loop has an inversion at each of its
+    179,700 pairs of positions and a descent at each position; the DP keeps
+    each state's lowest exponent, so the long run of shifts costs no
+    leading zeros and stays within a second."""
+    alpha = MultiplicityVector((600,))
+    u = Relation.from_pairs(1, [(1, 1)])
+    for stat in ("inv-graphical", "maj-graphical"):
+        start = time.perf_counter()
+        got = distribution(stat, alpha, u)
+        elapsed = time.perf_counter() - start
+        assert got == QPolynomial.monomial(179_700), stat
+        assert elapsed < 1, f"{stat} took {elapsed:.2f}s of its 1s budget"
 
 
 def test_sharded_distribution_matches_serial():
@@ -170,8 +271,8 @@ def test_sweeps_build_no_relation_per_swept_mask(monkeypatch, verify):
     """Of the 512 relations swept, only the 13 generated sorting-condition
     candidates (the unflagged bipartitions of three letters, each built and
     cut to its effective core) and the reported disagreements get a
-    Relation or a bipartition reconstruction; besides these, each of the 12
-    words gets its sorting profile from a trace under the empty relation."""
+    Relation or a bipartition reconstruction; no word builds one for its
+    profiles."""
     import mahonian.relations as relations_module
 
     builds, reconstructions = [], []
@@ -190,8 +291,8 @@ def test_sweeps_build_no_relation_per_swept_mask(monkeypatch, verify):
     monkeypatch.setattr(relations_module, "to_ordered_bipartition", counted_reconstruct)
     report = verify(3, MultiplicityVector((1, 1, 2)))
     assert report.relation_count == 512
-    candidates, traces = (13, 12) if verify is verify_theorem2 else (0, 0)
-    assert len(builds) <= 2 * candidates + traces + len(report.disagreements) < 512
+    candidates = 13 if verify is verify_theorem2 else 0
+    assert len(builds) <= 2 * candidates + len(report.disagreements) < 512
     assert len(reconstructions) <= candidates
 
 
@@ -304,26 +405,9 @@ def test_jobs_below_one_are_rejected():
             distribution("inv", alpha, jobs=jobs)
 
 
-def test_worker_count_is_clamped(monkeypatch):
-    """Workers never outnumber the CPUs or the shards; a serial stand-in for
-    the process pool records what was asked of it."""
-    started = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, batches):
-            return map(fn, batches)
-
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+def test_worker_count_is_clamped(monkeypatch, pool_starts):
+    """Workers never outnumber the CPUs or the shards."""
+    started = pool_starts
     alpha = MultiplicityVector((2, 1))
     serial = verify_theorem2(2, alpha, tie_rule=TIE_LEFTMOST)
     assert started == []

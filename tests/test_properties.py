@@ -3,7 +3,9 @@ closure route, the one-shot essential predicate against the exhaustive
 loop-assignment scan it replaced, ranged class enumeration against a
 brute-force class, the block code round trip on random qualifying
 relations, the sweep's incrementally tracked second-moment form against
-moments computed directly, and the complement identity."""
+moments computed directly, the complement identity, and the inv/maj
+distribution DP against the class scored word by word and against the
+closed form."""
 
 from collections import Counter
 from functools import partial
@@ -18,6 +20,7 @@ from mahonian import (
     EssentialWitness,
     MultiplicityVector,
     OrderedBipartition,
+    QPolynomial,
     Relation,
     TIE_RIGHTMOST,
     TIE_RULES,
@@ -26,9 +29,11 @@ from mahonian import (
     class_size,
     code_count,
     complement,
+    distribution,
     enumerate_codes,
     equidistributed,
     from_ordered_bipartition,
+    gf_bipartitional,
     graphical_inversions,
     graphical_major_index,
     graphical_sorting_index,
@@ -288,3 +293,54 @@ def test_complement_keeps_inv_maj_equidistribution(case):
     full = (1 << (alpha.n * alpha.n)) - 1
     essential = oracle._essential_masks(alpha)
     assert {mask ^ full for mask in essential} == essential
+
+
+@st.composite
+def dp_cases(draw):
+    """A relation on n <= 4 letters from a random mask, and a class with
+    counts 0..3, cut down (largest count first) to at most 3,000 words so
+    the word-by-word reference stays quick."""
+    n = draw(st.integers(1, 4))
+    relation = relation_from_mask(n, draw(st.integers(0, (1 << (n * n)) - 1)))
+    counts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    while class_size(MultiplicityVector(tuple(counts))) > 3000:
+        counts[counts.index(max(counts))] -= 1
+    return relation, MultiplicityVector(tuple(counts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dp_cases())
+def test_distribution_dp_matches_the_scored_class(case):
+    relation, alpha = case
+    words = list(rearrangement_class(alpha))
+    for stat, kernel in (
+        ("inv-graphical", graphical_inversions),
+        ("maj-graphical", graphical_major_index),
+    ):
+        values = Counter(kernel(relation, word) for word in words)
+        expected = QPolynomial([values[k] for k in range(max(values) + 1)])
+        assert distribution(stat, alpha, relation) == expected, stat
+
+
+@st.composite
+def bipartitions_and_classes(draw):
+    """An ordered bipartition of n <= 6 letters with random underlines, and a
+    class with counts 0..2."""
+    n = draw(st.integers(1, 6))
+    letters = draw(st.permutations(range(1, n + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    bounds = [0] + cuts + [n]
+    blocks = [frozenset(letters[a:b]) for a, b in zip(bounds, bounds[1:])]
+    flags = draw(st.lists(st.integers(0, 1), min_size=len(blocks), max_size=len(blocks)))
+    counts = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return OrderedBipartition(tuple(blocks), tuple(flags)), MultiplicityVector(tuple(counts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(bipartitions_and_classes())
+def test_distribution_dp_matches_the_closed_form(case):
+    bp, alpha = case
+    relation = from_ordered_bipartition(bp)
+    closed = gf_bipartitional(alpha, bp)
+    for stat in ("inv-graphical", "maj-graphical"):
+        assert distribution(stat, alpha, relation, max_class=None) == closed, stat
