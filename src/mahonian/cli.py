@@ -413,7 +413,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "--jobs",
         type=int,
         default=1,
-        help="parallel workers for the sor enumeration (inv and maj use a DP)",
+        help="parallel workers for sor under copy-label-max on a class with a"
+        " repeated letter, the one case that enumerates the class",
     )
     p.add_argument(
         "--max-class",

@@ -2,12 +2,18 @@
 
 The inv and maj distributions come from a transfer-matrix DP over residual
 multiplicity vectors (plus the last letter for maj), which visits no word
-of the class; the sorting index has no such recursion here, so its
-distribution walks the whole class and sorts every word.  The verifiers
-walk every relation on the alphabet (all 2^(n*n) bitmasks) and compare two
-routes: the structural predicates in relations.py, and whether the
-statistics are equidistributed over the class.  These are the ground-truth
-checks the predicates are tested against.
+of the class.  The sorting index comes from undoing the selection sort: each
+step can be undone in as many ways as the tie rule allows, and the undone
+steps from the sorted word reach every word of the class once, adding up
+its index on the way, so no word is sorted.  Under copy-label-max with a
+repeated letter the mover depends on the copies' original positions, which
+a partly undone word does not record, so that one case sorts every word of
+the class.
+
+The verifiers walk every relation on the alphabet (all 2^(n*n) bitmasks)
+and compare two routes: the structural predicates in relations.py, and
+whether the statistics are equidistributed over the class.  These are the
+ground-truth checks the predicates are tested against.
 
 verify_theorem1 sweeps the equivalence "inv and maj variants are
 equidistributed over the class iff the relation is essentially
@@ -37,13 +43,13 @@ sorting conditions are the qualifying unflagged bipartitional ones with any
 loops on letters of multiplicity at most 1 added.  A mask's predicate is a
 set lookup, so no swept relation is built or tested.
 
-The sor distribution and the sweeps share one sharded path, _run_sharded:
-the work is cut into contiguous ranges (of class ranks for a distribution,
-of Gray-code ranks for a sweep), one per worker process and at most one
-per CPU, and a single range runs in the calling process.  Arguments are
-validated in the caller, and a job carries the validated relation and
-class themselves, not a description for each worker to rebuild, so the
-workers call the unchecked sort.
+The copy-label-max enumeration and the sweeps share one sharded path,
+_run_sharded: the work is cut into contiguous ranges (of class ranks for a
+distribution, of Gray-code ranks for a sweep), one per worker process and
+at most one per CPU, and a single range runs in the calling process.
+Arguments are validated in the caller, and a job carries the validated
+relation and class themselves, not a description for each worker to
+rebuild, so the workers call the unchecked sort.
 """
 
 from __future__ import annotations
@@ -70,6 +76,8 @@ from .relations import (
 )
 from .statistics import (
     DEFAULT_TIE_RULE,
+    TIE_COPY_LABEL_MAX,
+    TIE_LEFTMOST,
     _check_rule,
     _selection_sort,
     inversion_profile,
@@ -203,6 +211,69 @@ def _histogram_to_polynomial(histogram: dict[int, int]) -> QPolynomial:
     return QPolynomial(coeffs)
 
 
+def _unsort_histogram(edges, tie_rule: str, counts: tuple[int, ...]) -> dict[int, int]:
+    """Histogram of the sorting index over the class, by undoing the
+    selection sort from the sorted word instead of sorting every word.
+
+    Step t puts back x, the t-th smallest letter (counting from 0), into a
+    prefix p of length t that holds the t letters below it: appended
+    (j = t), or put at j < t with p[j] moved to the end.  That undoes the
+    sort step moving x from j to t, which added #{h in [j, t) : (x, p[h])
+    in U}.  The tie rule says which j the sort picks: under rightmost
+    p[j..t-1] holds no x, and under leftmost p[0..j-1] holds none and
+    appending needs p to hold none.  The sort is deterministic, so every
+    word of the class is reached once, along the moves of its own sort.
+    Without repeated letters every j is allowed and the rules agree, so any
+    rule other than leftmost is read as rightmost.
+
+    The prefixes sit on an explicit stack (the one word of (600) is 600
+    levels deep), and the last level adds to the histogram without building
+    the words.
+    """
+    letters = [x for x, a in enumerate(counts, 1) for _ in range(a)]
+    if not letters:
+        return {0: 1}
+    letter_range = range(len(counts) + 1)
+    related = [[(x, y) in edges for y in letter_range] for x in letter_range]
+    last = len(letters) - 1
+    leftmost = tie_rule == TIE_LEFTMOST
+    histogram: dict[int, int] = {}
+    stack = [([], 0)]
+    while stack:
+        prefix, value = stack.pop()
+        t = len(prefix)
+        x = letters[t]
+        row = related[x]
+        moves = []  # (j, what the step added)
+        if leftmost:
+            gain = sum(map(row.__getitem__, prefix))
+            for j, y in enumerate(prefix):
+                moves.append((j, gain))
+                if y == x:
+                    break
+                gain -= row[y]
+            else:
+                moves.append((t, 0))
+        else:
+            gain = 0
+            moves.append((t, 0))
+            for j in range(t - 1, -1, -1):
+                y = prefix[j]
+                if y == x:
+                    break
+                gain += row[y]
+                moves.append((j, gain))
+        if t == last:
+            for _, gain in moves:
+                histogram[value + gain] = histogram.get(value + gain, 0) + 1
+            continue
+        for j, gain in moves:
+            child = prefix + [x]
+            child[j], child[t] = x, child[j]
+            stack.append((child, value + gain))
+    return histogram
+
+
 def _sorting_worker(job) -> dict[int, int]:
     edges, tie_rule, alpha, start, stop = job
     histogram: dict[int, int] = {}
@@ -224,8 +295,10 @@ def distribution(
     """Distribution polynomial of the statistic over the class: the
     coefficient of q^k counts the words with value k.
 
-    inv and maj come from the transfer-matrix DP; sor enumerates the class,
-    in up to jobs worker processes.  The class cap applies to all three.
+    inv and maj come from the transfer-matrix DP and sor from undoing the
+    sort.  Only sor under copy-label-max on a class with a repeated letter
+    enumerates the class, in up to jobs worker processes.  The class cap
+    applies to all three.
     """
     _check_jobs(jobs)
     size = _check_class(alpha, max_class)
@@ -233,6 +306,10 @@ def distribution(
     if base != "sor":
         return _transfer_polynomial(base, relation.edges, alpha.counts)
     _check_rule(tie_rule)
+    if tie_rule != TIE_COPY_LABEL_MAX or max(alpha.counts) <= 1:
+        return _histogram_to_polynomial(
+            _unsort_histogram(relation.edges, tie_rule, alpha.counts)
+        )
     job = (relation.edges, tie_rule, alpha)
     histogram: dict[int, int] = {}
     for part in _run_sharded(_sorting_worker, job, size, jobs):

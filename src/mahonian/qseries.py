@@ -136,11 +136,16 @@ class QPolynomial:
 
 
 def q_binomial(n: int, k: int) -> QPolynomial:
-    """Gaussian binomial coefficient, by the q-Pascal recurrence."""
+    """Gaussian binomial coefficient, by the q-Pascal recurrence.
+
+    The coefficient is symmetric in k and n - k, so the triangle is filled
+    only out to the smaller of the two columns.
+    """
     if type(n) is not int or type(k) is not int:
         raise InvalidArguments(f"n and k must be integers, got n={n!r}, k={k!r}")
     if n < 0 or k < 0 or k > n:
         raise InvalidArguments(f"need 0 <= k <= n, got n={n}, k={k}")
+    k = min(k, n - k)
     # row[j] along Pascal rows; entry (i, j) = (i-1, j-1) + q^j * (i-1, j)
     row = [QPolynomial.one()]
     for i in range(1, n + 1):

@@ -23,10 +23,12 @@ from mahonian import (
     TIE_RIGHTMOST,
     TIE_RULES,
     UniverseTooLarge,
+    class_size,
     distribution,
     equidistributed,
     from_ordered_bipartition,
     gf_bipartitional,
+    gf_sorting,
     graphical_inversions,
     graphical_major_index,
     graphical_sorting_index,
@@ -38,6 +40,7 @@ from mahonian import (
     relation_to_mask,
     relation_universe,
     satisfies_sorting_conditions,
+    to_ordered_bipartition,
     verify_theorem1,
     verify_theorem2,
 )
@@ -115,10 +118,10 @@ def pool_starts(monkeypatch):
     return started
 
 
-@pytest.mark.parametrize("stat", ["inv", "maj", "inv-graphical", "maj-graphical"])
-def test_inv_maj_distributions_visit_no_word(monkeypatch, pool_starts, stat):
-    """The DP calls no per-word kernel, enumerates no word and starts no
-    pool, however many jobs are asked for; the class cap still applies."""
+@pytest.fixture
+def counted_calls(monkeypatch):
+    """Names of the per-word kernels, sorts and class enumerators called,
+    in call order, wherever oracle.py could reach them."""
     import mahonian.statistics as statistics_module
     import mahonian.words as words_module
 
@@ -143,13 +146,38 @@ def test_inv_maj_distributions_visit_no_word(monkeypatch, pool_starts, stat):
     ):
         for name in names:
             counted(module, name)
+    return calls
+
+
+@pytest.mark.parametrize("stat", ["inv", "maj", "inv-graphical", "maj-graphical"])
+def test_inv_maj_distributions_visit_no_word(counted_calls, pool_starts, stat):
+    """The DP calls no per-word kernel, enumerates no word and starts no
+    pool, however many jobs are asked for; the class cap still applies."""
     alpha = MultiplicityVector((2, 1, 2))
     u = Relation.from_pairs(3, [(2, 1), (3, 1), (1, 3), (2, 2)])
     got = distribution(stat, alpha, u, jobs=10**9)
-    assert calls == [] and pool_starts == []
+    assert counted_calls == [] and pool_starts == []
     assert got(1) == 30
     with pytest.raises(ClassTooLarge):
         distribution(stat, MultiplicityVector((2, 2)), u, max_class=5)
+
+
+@pytest.mark.parametrize(
+    "rule, counts",
+    [(TIE_RIGHTMOST, (2, 1, 2)), (TIE_LEFTMOST, (2, 1, 2)), (TIE_COPY_LABEL_MAX, (1, 1, 1, 1))],
+    ids=["rightmost", "leftmost", "copy-label-max-permutations"],
+)
+def test_sor_distributions_visit_no_word(counted_calls, pool_starts, rule, counts):
+    """Undoing the sort sorts no word, enumerates none and starts no pool,
+    however many jobs are asked for; the class cap still applies."""
+    alpha = MultiplicityVector(counts)
+    n = alpha.n
+    u = Relation.from_pairs(n, [(2, 1), (n, 1), (1, n), (2, 2)])
+    got = distribution("sor-graphical", alpha, u, tie_rule=rule, jobs=10**9)
+    assert counted_calls == [] and pool_starts == []
+    assert got(1) == class_size(alpha)
+    with pytest.raises(ClassTooLarge):
+        distribution("sor", MultiplicityVector((2, 2)), tie_rule=rule, max_class=5)
 
 
 def test_inv_maj_distributions_of_a_large_class():
@@ -181,6 +209,41 @@ def test_inv_maj_distributions_of_a_long_word():
         elapsed = time.perf_counter() - start
         assert got == QPolynomial.monomial(179_700), stat
         assert elapsed < 1, f"{stat} took {elapsed:.2f}s of its 1s budget"
+
+
+def test_sor_distribution_of_a_large_class():
+    """(3,3,3,3) has 369,600 words, past the default cap; undoing the sort
+    gives the closed form of the natural order within two seconds."""
+    alpha = MultiplicityVector((3,) * 4)
+    closed = gf_sorting(alpha, to_ordered_bipartition(natural_order(4)))
+    start = time.perf_counter()
+    got = distribution("sor", alpha, tie_rule=TIE_RIGHTMOST, max_class=None)
+    elapsed = time.perf_counter() - start
+    assert got == closed and closed(1) == 369_600
+    assert elapsed < 2, f"took {elapsed:.2f}s of its 2s budget"
+
+
+def test_sor_distributions_of_a_long_word():
+    """The one word of (600) is already sorted.  Under rightmost every step
+    moves the last copy onto itself; under leftmost step t moves the first
+    copy past the t others, each a loop pair, so the index is 0 + ... + 599."""
+    alpha = MultiplicityVector((600,))
+    u = Relation.from_pairs(1, [(1, 1)])
+    assert distribution("sor-graphical", alpha, u, tie_rule=TIE_RIGHTMOST) == 1
+    assert distribution(
+        "sor-graphical", alpha, u, tie_rule=TIE_LEFTMOST
+    ) == QPolynomial.monomial(179_700)
+
+
+def test_classical_sorting_index_is_mahonian_only_under_rightmost_and_leftmost():
+    """Under the natural order the classical sor on a class with repeated
+    letters is Mahonian for rightmost and leftmost, but not for the default
+    copy-label-max rule; the README says so."""
+    alpha = MultiplicityVector((2, 2, 2))
+    mahonian = q_multinomial(alpha.counts)
+    for rule in (TIE_RIGHTMOST, TIE_LEFTMOST):
+        assert distribution("sor", alpha, tie_rule=rule) == mahonian, rule
+    assert distribution("sor", alpha, tie_rule=TIE_COPY_LABEL_MAX) != mahonian
 
 
 def test_sharded_distribution_matches_serial():

@@ -3,9 +3,9 @@ closure route, the one-shot essential predicate against the exhaustive
 loop-assignment scan it replaced, ranged class enumeration against a
 brute-force class, the block code round trip on random qualifying
 relations, the sweep's incrementally tracked second-moment form against
-moments computed directly, the complement identity, and the inv/maj
-distribution DP against the class scored word by word and against the
-closed form."""
+moments computed directly, the complement identity, the inv/maj
+distribution DP and the undone sort behind the sor distribution against the
+class scored word by word and against the closed forms."""
 
 from collections import Counter
 from functools import partial
@@ -22,6 +22,7 @@ from mahonian import (
     OrderedBipartition,
     QPolynomial,
     Relation,
+    TIE_LEFTMOST,
     TIE_RIGHTMOST,
     TIE_RULES,
     bcode_decode,
@@ -34,6 +35,7 @@ from mahonian import (
     equidistributed,
     from_ordered_bipartition,
     gf_bipartitional,
+    gf_sorting,
     graphical_inversions,
     graphical_major_index,
     graphical_sorting_index,
@@ -296,13 +298,13 @@ def test_complement_keeps_inv_maj_equidistribution(case):
 
 
 @st.composite
-def dp_cases(draw):
+def dp_cases(draw, top=3):
     """A relation on n <= 4 letters from a random mask, and a class with
-    counts 0..3, cut down (largest count first) to at most 3,000 words so
+    counts 0..top, cut down (largest count first) to at most 3,000 words so
     the word-by-word reference stays quick."""
     n = draw(st.integers(1, 4))
     relation = relation_from_mask(n, draw(st.integers(0, (1 << (n * n)) - 1)))
-    counts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    counts = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
     while class_size(MultiplicityVector(tuple(counts))) > 3000:
         counts[counts.index(max(counts))] -= 1
     return relation, MultiplicityVector(tuple(counts))
@@ -344,3 +346,28 @@ def test_distribution_dp_matches_the_closed_form(case):
     closed = gf_bipartitional(alpha, bp)
     for stat in ("inv-graphical", "maj-graphical"):
         assert distribution(stat, alpha, relation, max_class=None) == closed, stat
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dp_cases(), dp_cases(top=1)))
+def test_unsorting_matches_the_sorted_class(case):
+    """The sor distribution built by undoing the sort equals the class sorted
+    word by word: under rightmost and leftmost always, and under every rule
+    when no letter repeats."""
+    relation, alpha = case
+    words = list(rearrangement_class(alpha))
+    rules = TIE_RULES if max(alpha.counts) <= 1 else (TIE_RIGHTMOST, TIE_LEFTMOST)
+    for rule in rules:
+        values = Counter(graphical_sorting_index(relation, word, rule) for word in words)
+        expected = QPolynomial([values[k] for k in range(max(values) + 1)])
+        got = distribution("sor-graphical", alpha, relation, tie_rule=rule)
+        assert got == expected, rule
+
+
+@settings(max_examples=100, deadline=None)
+@given(qualifying_cases())
+def test_unsorting_matches_the_closed_form(case):
+    relation, alpha = case
+    closed = gf_sorting(alpha, to_ordered_bipartition(relation))
+    got = distribution("sor-graphical", alpha, relation, tie_rule=TIE_RIGHTMOST)
+    assert got == closed

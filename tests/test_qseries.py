@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mahonian import (
     ConditionsNotSatisfied,
@@ -133,6 +136,30 @@ def test_q_binomial_symmetry_and_counting():
             assert p == q_binomial(n, n - k)
             assert p(1) == math.comb(n, k)
             assert p.coeffs == p.coeffs[::-1]  # palindromic
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+def test_q_binomial_is_symmetric_and_follows_q_pascal(case):
+    """The triangle is filled only to min(k, n - k); the q-Pascal step from
+    row n - 1 and the box-partition recurrence check that shortcut from
+    outside it."""
+    n, k = case
+    p = q_binomial(n, k)
+    assert p == q_binomial(n, n - k) == box_partition_counts(n - k, k)
+    if 0 < k < n:
+        assert p == q_binomial(n - 1, k - 1) + QPolynomial.monomial(k) * q_binomial(
+            n - 1, k
+        )
+
+
+def test_q_multinomial_of_one_long_block():
+    """A single block of mass 600 is the Gaussian binomial [600, 600] = 1,
+    which the symmetric fill gives without building the triangle."""
+    start = time.perf_counter()
+    assert q_multinomial((600,)) == 1
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1, f"took {elapsed:.2f}s of its 1s budget"
 
 
 @pytest.mark.parametrize("counts", [(1, 1, 1), (2, 2), (1, 2, 1), (3, 2)])
