@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import ConditionsNotSatisfied, InvalidCode
 from .relations import OrderedBipartition, Relation, _sorting_bipartition
-from .statistics import TIE_RIGHTMOST, graphical_sorting_trace, replay_trace
+from .statistics import TIE_RIGHTMOST, _contribution, _sort_moves
 from .words import MultiplicityVector, Word, infer_alpha, make_word
 
 BCODE_TIE_RULE = TIE_RIGHTMOST
@@ -140,22 +140,17 @@ def _encode_with_rule(relation: Relation, word, tie_rule: str) -> BCode:
     bp, info = _block_structure(relation, alpha)
     block_of = {x: j for j, block in enumerate(bp.blocks) for x in block}
 
-    trace = graphical_sorting_trace(relation, letters, tie_rule)
-    states = [tuple(letters)] + replay_trace(letters, trace)
     contributions: list[list[int]] = [[] for _ in info]
     markers = [0] * len(info)
-    started = [False] * len(info)
-    for t, step in enumerate(trace.steps):
-        j = block_of[step.letter]
-        if not started[j]:
-            started[j] = True
-            if info[j].two_letter:
-                # top letter's position among the block's copies, read just
-                # before the block's first step
-                top = info[j].letters[-1]
-                subword = [x for x in states[t] if block_of[x] == j]
-                markers[j] = subword.index(top) + 1
-        contributions[j].append(step.contribution)
+    for j, i, work in _sort_moves(letters, tie_rule):
+        b = block_of[work[j]]
+        if not contributions[b] and info[b].two_letter:
+            # top letter's position among the block's copies, read just
+            # before the block's first step
+            top = info[b].letters[-1]
+            subword = [x for x in work if block_of[x] == b]
+            markers[b] = subword.index(top) + 1
+        contributions[b].append(_contribution(relation.edges, j, i, work))
     partitions = tuple(
         tuple(sorted(block_contribs, reverse=True)) for block_contribs in contributions
     )

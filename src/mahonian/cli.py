@@ -129,7 +129,7 @@ def _resolve_alpha(args) -> MultiplicityVector:
 
 
 def _resolve_tie_rule(args) -> str:
-    if getattr(args, "tie_rule", None) is None:
+    if args.tie_rule is None:
         return DEFAULT_TIE_RULE
     return TIE_RULE_FLAGS[args.tie_rule]
 
@@ -141,7 +141,7 @@ def _emit(args, text_value: str, json_value) -> None:
         print(text_value)
 
 
-def _add_common(parser, *, relation=False, alpha=False, word=False, fmt=True):
+def _add_common(parser, *, relation=False, alpha=False, word=False):
     if relation:
         parser.add_argument(
             "--relation", metavar="SPEC", help="'natural' or @file (JSON or 'x y' lines)"
@@ -160,10 +160,9 @@ def _add_common(parser, *, relation=False, alpha=False, word=False, fmt=True):
             metavar="LETTERS",
             help="contiguous digits (alphabet <= 9) or space-separated integers",
         )
-    if fmt:
-        parser.add_argument(
-            "--format", choices=("text", "json"), default="text", help="output format"
-        )
+    parser.add_argument(
+        "--format", choices=("text", "json"), default="text", help="output format"
+    )
 
 
 def _add_tie_rule(parser):

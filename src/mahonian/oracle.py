@@ -79,7 +79,7 @@ from .statistics import (
     TIE_COPY_LABEL_MAX,
     TIE_LEFTMOST,
     _check_rule,
-    _selection_sort,
+    _sorting_index,
     inversion_profile,
     major_profile,
     sorting_profile,
@@ -278,7 +278,7 @@ def _sorting_worker(job) -> dict[int, int]:
     edges, tie_rule, alpha, start, stop = job
     histogram: dict[int, int] = {}
     for word in rearrangement_class_range(alpha, start, stop):
-        value = _selection_sort(edges, word.letters, tie_rule, False)[0]
+        value = _sorting_index(edges, word.letters, tie_rule)
         histogram[value] = histogram.get(value, 0) + 1
     return histogram
 
@@ -303,9 +303,9 @@ def distribution(
     _check_jobs(jobs)
     size = _check_class(alpha, max_class)
     base, relation = _resolve(stat, alpha, relation)
+    _check_rule(tie_rule)
     if base != "sor":
         return _transfer_polynomial(base, relation.edges, alpha.counts)
-    _check_rule(tie_rule)
     if tie_rule != TIE_COPY_LABEL_MAX or max(alpha.counts) <= 1:
         return _histogram_to_polynomial(
             _unsort_histogram(relation.edges, tie_rule, alpha.counts)
@@ -644,6 +644,7 @@ def _verify(
         builders = (inversion_profile, major_profile)
         accepted = _essential_masks(alpha)
     else:
+        _check_rule(tie_rule)
         sor = partial(sorting_profile, tie_rule=tie_rule)
         builders = (inversion_profile, major_profile, sor)
         accepted = _sorting_masks(alpha)

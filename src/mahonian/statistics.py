@@ -9,7 +9,9 @@ the classical permutation statistics into statistics on arbitrary words:
 * sorting index: run a straight selection sort (for i = m down to 1, move
   the largest letter of the prefix w_1..w_i to position i) and, at every
   step, add the number of positions h in (j, i] whose pre-swap letter y has
-  (x, y) in U, where x is the letter being moved from position j.
+  (x, y) in U, where x is the letter being moved from position j.  The
+  prefix w_1..w_i always holds the i smallest letters of w, so the letter
+  moved at step i is the i-th smallest.
 
 With U the strict integer order these all collapse to the classical inv,
 maj and sor.
@@ -18,7 +20,10 @@ The selection sort needs a tie rule when the largest prefix letter occurs
 several times.  Three deterministic rules are provided:
 
 * copy-label-max (the default): copies carry their position in the original
-  input word as a label; the copy with the largest label is moved.
+  input word as a label; the copy with the largest label is moved.  The
+  copies of a letter therefore leave in decreasing original position, and
+  step i moves the copy whose original position comes i-th when the
+  positions are stably sorted by letter.
 * leftmost / rightmost: the copy at the smallest / largest current position.
 
 The rules genuinely differ on words with repeated letters - they can visit
@@ -134,43 +139,47 @@ def _check_rule(tie_rule: str) -> None:
         )
 
 
-def _selection_sort(edges, letters, tie_rule, want_steps):
-    """The sort of the letters, scored against the edge set; the rule and the
-    letters are the caller's to check."""
+def _sort_moves(letters, tie_rule):
+    """Moves of the selection sort, last position first: (j, i, work) with
+    work the word just before positions j and i (0-based) swap.  The mover
+    is a copy of ordered[i], and under copy-label-max the copy labelled
+    movers[i] (see the module docstring).  The rule and the letters are the
+    caller's to check."""
     work = list(letters)
+    ordered = sorted(work)
     labels = list(range(len(work)))  # positions in the original word
-    total = 0
-    steps = [] if want_steps else None
+    movers = sorted(labels, key=work.__getitem__)
     for i in range(len(work) - 1, -1, -1):
-        largest = work[0]
-        for h in range(1, i + 1):
-            if work[h] > largest:
-                largest = work[h]
         if tie_rule == TIE_RIGHTMOST:
             j = i
-            while work[j] != largest:
+            while work[j] != ordered[i]:
                 j -= 1
         elif tie_rule == TIE_LEFTMOST:
-            j = 0
-            while work[j] != largest:
-                j += 1
+            j = work.index(ordered[i])
         else:
-            j = -1
-            best = -1
-            for h in range(i + 1):
-                if work[h] == largest and labels[h] > best:
-                    best = labels[h]
-                    j = h
-        contribution = 0
-        for h in range(j + 1, i + 1):
-            if (largest, work[h]) in edges:
-                contribution += 1
-        total += contribution
-        if want_steps:
-            steps.append(SortStep(j + 1, i + 1, largest, contribution))
+            j = labels.index(movers[i])
+            labels[j], labels[i] = labels[i], labels[j]
+        yield j, i, work
         work[j], work[i] = work[i], work[j]
-        labels[j], labels[i] = labels[i], labels[j]
-    return total, steps, tuple(work)
+
+
+def _contribution(edges, j, i, work) -> int:
+    """Letters the step passes that the mover relates to."""
+    x = work[j]
+    total = 0
+    for y in work[j + 1 : i + 1]:
+        if (x, y) in edges:
+            total += 1
+    return total
+
+
+def _sorting_index(edges, letters, tie_rule) -> int:
+    """The sort scored against the edge set; the rule and the letters are
+    the caller's to check."""
+    return sum(
+        _contribution(edges, j, i, work)
+        for j, i, work in _sort_moves(letters, tie_rule)
+    )
 
 
 def graphical_sorting_index(
@@ -178,8 +187,7 @@ def graphical_sorting_index(
 ) -> int:
     _check_rule(tie_rule)
     letters = _checked_letters(relation.n, word)
-    total, _, _ = _selection_sort(relation.edges, letters, tie_rule, False)
-    return total
+    return _sorting_index(relation.edges, letters, tie_rule)
 
 
 def graphical_sorting_trace(
@@ -189,8 +197,11 @@ def graphical_sorting_trace(
     m down to 1 and the final letters are the ascending rearrangement."""
     _check_rule(tie_rule)
     letters = _checked_letters(relation.n, word)
-    total, steps, final = _selection_sort(relation.edges, letters, tie_rule, True)
-    return SortTrace(tie_rule, tuple(steps), final)
+    steps = tuple(
+        SortStep(j + 1, i + 1, work[j], _contribution(relation.edges, j, i, work))
+        for j, i, work in _sort_moves(letters, tie_rule)
+    )
+    return SortTrace(tie_rule, steps, tuple(sorted(letters)))
 
 
 def replay_trace(letters: Sequence[int], trace: SortTrace) -> list[tuple[int, ...]]:
@@ -237,22 +248,14 @@ def sorting_profile(
 ) -> tuple[int, ...]:
     """Letters jumped over by the sort's moves: entry (x-1)*n + (y-1) counts
     the times a moved x passes a y, so graphical_sorting_index(U, w, tie_rule)
-    is the sum of the entries over the pairs of U.
-
-    The mover of each step never depends on the relation, so the moves are
-    read off one sort over the empty edge set.
-    """
+    is the sum of the entries over the pairs of U."""
     _check_rule(tie_rule)
     letters = _checked_letters(n, word)
-    _, steps, _ = _selection_sort(frozenset(), letters, tie_rule, True)
     profile = [0] * (n * n)
-    work = list(letters)
-    for step in steps:
-        j, i = step.mover_position - 1, step.target_position - 1
-        row = (step.letter - 1) * n - 1
-        for h in range(j + 1, i + 1):
-            profile[row + work[h]] += 1
-        work[j], work[i] = work[i], work[j]
+    for j, i, work in _sort_moves(letters, tie_rule):
+        row = (work[j] - 1) * n - 1
+        for y in work[j + 1 : i + 1]:
+            profile[row + y] += 1
     return tuple(profile)
 
 

@@ -89,6 +89,18 @@ def test_sorting_distribution_checks_the_tie_rule():
         distribution("sor", MultiplicityVector((1, 1)), tie_rule="nearest")
 
 
+def test_tie_rule_is_checked_before_any_work(pool_starts):
+    """Every distribution checks the rule, whatever the statistic, and the
+    Theorem 2 sweep checks it before it builds a profile or starts a pool."""
+    alpha = MultiplicityVector((1, 1, 2))
+    for stat in ("inv", "maj"):
+        with pytest.raises(InvalidArguments):
+            distribution(stat, alpha, tie_rule="bogus")
+    with pytest.raises(InvalidArguments):
+        verify_theorem2(3, alpha, tie_rule="bogus", jobs=2)
+    assert pool_starts == []
+
+
 def test_distribution_respects_the_class_cap():
     with pytest.raises(ClassTooLarge):
         distribution("inv", MultiplicityVector((2, 2)), max_class=5)
@@ -138,10 +150,10 @@ def counted_calls(monkeypatch):
 
     for module, names in (
         (words_module, ["rearrangement_class_range", "unrank_word", "_next_permutation"]),
-        (oracle, ["rearrangement_class", "rearrangement_class_range", "_selection_sort"]),
+        (oracle, ["rearrangement_class", "rearrangement_class_range", "_sorting_index"]),
         (statistics_module, [
             "graphical_inversions", "graphical_major_index",
-            "graphical_sorting_index", "_selection_sort",
+            "graphical_sorting_index", "_sorting_index", "_sort_moves",
         ]),
     ):
         for name in names:

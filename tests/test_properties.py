@@ -1,4 +1,5 @@
-"""Property tests: profile linearity, bipartition reconstruction against the
+"""Property tests: profile linearity, the selection sort against a naive
+one written from its definition, bipartition reconstruction against the
 closure route, the one-shot essential predicate against the exhaustive
 loop-assignment scan it replaced, ranged class enumeration against a
 brute-force class, the block code round trip on random qualifying
@@ -39,6 +40,7 @@ from mahonian import (
     graphical_inversions,
     graphical_major_index,
     graphical_sorting_index,
+    graphical_sorting_trace,
     is_bipartitional,
     is_essentially_bipartitional,
     rearrangement_class,
@@ -78,6 +80,56 @@ def test_statistics_are_profile_sums(case):
         assert summed(sorting_profile(n, letters, rule)) == graphical_sorting_index(
             relation, letters, rule
         )
+
+
+def naive_sort(letters, rule):
+    """Reference selection sort: for i = m down to 1, scan the prefix for its
+    largest letter and move the copy the rule picks to position i, each
+    letter carrying its original position as a label.  Returns the steps as
+    (j, i, letter, passed letters) and the final letters."""
+    work = [(x, label) for label, x in enumerate(letters)]
+    steps = []
+    for i in range(len(work) - 1, -1, -1):
+        largest = max(x for x, _ in work[: i + 1])
+        copies = [h for h in range(i + 1) if work[h][0] == largest]
+        if rule == TIE_RIGHTMOST:
+            j = copies[-1]
+        elif rule == TIE_LEFTMOST:
+            j = copies[0]
+        else:
+            j = max(copies, key=lambda h: work[h][1])
+        steps.append((j + 1, i + 1, largest, [y for y, _ in work[j + 1 : i + 1]]))
+        work[j], work[i] = work[i], work[j]
+    return steps, tuple(x for x, _ in work)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words_and_masks())
+@example((2, [1, 2, 1, 1], 0b0111))
+def test_sort_matches_the_naive_sort(case):
+    """Trace, index and profile read the same moves as the naive sort; under
+    copy-label-max this pins the mover to the copy a stable sort of the
+    positions by letter names."""
+    n, letters, mask = case
+    relation = relation_from_mask(n, mask)
+    for rule in TIE_RULES:
+        steps, final = naive_sort(letters, rule)
+        expected = [
+            (j, i, x, sum((x, y) in relation.edges for y in passed))
+            for j, i, x, passed in steps
+        ]
+        trace = graphical_sorting_trace(relation, letters, rule)
+        got = [
+            (s.mover_position, s.target_position, s.letter, s.contribution)
+            for s in trace.steps
+        ]
+        assert got == expected and trace.final_letters == final, rule
+        assert graphical_sorting_index(relation, letters, rule) == trace.total
+        profile = [0] * (n * n)
+        for _, _, x, passed in steps:
+            for y in passed:
+                profile[(x - 1) * n + y - 1] += 1
+        assert sorting_profile(n, letters, rule) == tuple(profile), rule
 
 
 def essential_by_scan(relation, alpha):
