@@ -9,6 +9,7 @@ check / verification disagreement, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -481,8 +482,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, registry
 
 
+# parsing leaves the parser as it was, so one per process serves every call
+_parser = functools.cache(build_parser)
+
+
 def run_cli(argv=None) -> int:
-    parser, registry = build_parser()
+    parser, registry = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -23,33 +23,47 @@ any relation where predicate and enumeration disagree.
 
 A sweep never reruns the per-word statistics per relation.  Every statistic
 is a sum over the relation's pairs of a per-word profile (see
-statistics.inversion_profile), so the sweep streams the class once and
-keeps each distinct profile with its multiplicity.  With u the relation's
-bit vector, a statistic's second moment over the class (the sum of its
-squared values) is u^T G u for the Gram matrix G of its profiles, so one
-quadratic form u^T D u, built from the differences of the Gram matrices,
-vanishes whenever the statistics are equidistributed.  The sweep visits the
-masks in Gray-code order, where each step flips one pair and moves the form
-with O(n^2) work.  A nonzero form proves that the distributions differ;
+statistics.inversion_profile), so the sweep streams the class once, in the
+calling process, and keeps each distinct profile with its multiplicity.  A
+bit (pair) is dead when every distinct profile of every statistic swept is
+zero there, and live otherwise: a dead pair changes no statistic on any
+word, so relations that differ only in dead bits get the same verdict.
+Which bits are dead is read off the profiles, not assumed; on the classes
+tried they are the loops on letters of multiplicity at most 1 and every
+pair touching an absent letter.  The sweep walks the 2^live masks of the
+live bits only.  With u the relation's bit vector, a statistic's second
+moment over the class (the sum of its squared values) is u^T G u for the
+Gram matrix G of its profiles, so one quadratic form u^T D u, built from
+the differences of the Gram matrices on the live bits, vanishes whenever
+the statistics are equidistributed.  The walk visits the live masks in
+Gray-code order, where each step flips one live pair and moves the form
+with O(live) work.  A nonzero form proves that the distributions differ;
 only the masks where it vanishes get the exact check, which sums the
-profiles over the mask and compares the histograms.  Equal second moments
-have matched equidistribution on every class tried, but that is an
-observation, so the exact check stays.
+profiles over the mask's live bits and compares the histograms.  Equal
+second moments have matched equidistribution on every class tried, but
+that is an observation, so the exact check stays.  Each live mask's
+verdict is then expanded over its 2^dead completions, so the report still
+covers all 2^(n*n) relations.
 
 The predicate side is generated once per sweep, not tested mask by mask:
 the essentially bipartitional relations are the bipartitional ones with any
 loops on letters of multiplicity 1 toggled, and the relations meeting the
 sorting conditions are the qualifying unflagged bipartitional ones with any
 loops on letters of multiplicity at most 1 added.  A mask's predicate is a
-set lookup, so no swept relation is built or tested.
+set lookup, so no swept relation is built or tested.  The generated masks
+are grouped by their live part, so expanding a live mask's verdict reads
+only its own group: if the statistics differ, the disagreements are the
+accepted completions; if they agree, the completions not accepted.
 
 The copy-label-max enumeration and the sweeps share one sharded path,
 _run_sharded: the work is cut into contiguous ranges (of class ranks for a
 distribution, of Gray-code ranks for a sweep), one per worker process and
 at most one per CPU, and a single range runs in the calling process.
 Arguments are validated in the caller, and a job carries the validated
-relation and class themselves, not a description for each worker to
-rebuild, so the workers call the unchecked sort.
+relation and class themselves, or for a sweep the moment form, the
+profiles and the grouped predicate set, not a description for each worker
+to rebuild, so the workers call the unchecked sort and no worker streams
+the class again.
 """
 
 from __future__ import annotations
@@ -57,7 +71,6 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, product, repeat
@@ -140,6 +153,10 @@ def _run_sharded(worker, job: tuple, count: int, jobs: int) -> list:
     ]
     if workers == 1:
         return [worker(batches[0])]
+    # imported here: the pool's module is a fifth of the package's import
+    # time, and serial runs never need it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, batches))
 
@@ -462,13 +479,17 @@ def _ordered_partitions(letters: frozenset[int]) -> Iterator[tuple[frozenset[int
                 yield (block, *rest)
 
 
+def _submasks(bits) -> list[int]:
+    """Masks of every subset of the given bit positions."""
+    masks = [0]
+    for b in bits:
+        masks += [mask | 1 << b for mask in masks]
+    return masks
+
+
 def _loop_masks(n: int, letters) -> list[int]:
     """Masks of every subset of the loops on the given letters."""
-    masks = [0]
-    for x in letters:
-        loop = _mask_of(n, [(x, x)])
-        masks += [mask | loop for mask in masks]
-    return masks
+    return _submasks((x - 1) * (n + 1) for x in letters)
 
 
 def _essential_masks(alpha: MultiplicityVector) -> set[int]:
@@ -540,37 +561,45 @@ def _moment_form(tallies, size: int) -> list[list[int]]:
     return form
 
 
-def _moment_walk(form: list[list[int]], start: int, stop: int) -> Iterator[tuple[int, int]]:
-    """(mask, u^T D u) for the masks at Gray-code ranks [start, stop).
+def _moment_walk(
+    form: list[list[int]], live: list[int], start: int, stop: int
+) -> Iterator[tuple[int, int]]:
+    """(mask, u^T D u) for the masks at Gray-code ranks [start, stop) of the
+    live bits, D indexed by position in live.
 
-    Rank k visits mask k ^ (k >> 1), which differs from the previous mask in
-    one bit b.  With r = D u, setting b moves the form by 2 r_b + D_bb and
-    clearing it by D_bb - 2 r_b (D is symmetric), and r moves by +-D[b].
-    r is packed into one integer, one fixed-width lane per entry offset by
-    a bias above any |r_a| (at most the sum of |D[a]|), so moving r is one
-    integer add and reading r_b one shift and mask.
+    Rank k visits the mask holding bit live[i] for each bit i of k ^ (k >> 1),
+    which differs from the previous mask in one live bit.  With r = D u,
+    setting bit i moves the form by 2 r_i + D_ii and clearing it by
+    D_ii - 2 r_i (D is symmetric), and r moves by +-D[i].  r is packed into
+    one integer, one fixed-width lane per entry offset by a bias above any
+    |r_a| (at most the sum of |D[a]|), so moving r is one integer add and
+    reading r_i one shift and mask.  With no live bits the one rank visits
+    the empty mask.
     """
     size = len(form)
-    bias = 1 << max(sum(map(abs, row)) for row in form).bit_length()
+    bias = 1 << max((sum(map(abs, row)) for row in form), default=0).bit_length()
     lane = 2 * bias - 1
-    shifts = [b * lane.bit_length() for b in range(size)]
+    shifts = [i * lane.bit_length() for i in range(size)]
 
     def pack(values) -> int:
         return sum(value << shift for value, shift in zip(values, shifts))
 
     columns = [pack(row) for row in form]
-    diagonal = [form[b][b] for b in range(size)]
-    mask = start ^ (start >> 1)
-    bits = [b for b in range(size) if mask >> b & 1]
-    r = [sum(row[b] for b in bits) for row in form]
-    gap = sum(r[b] for b in bits)
+    diagonal = [form[i][i] for i in range(size)]
+    flips = [1 << b for b in live]
+    gray = start ^ (start >> 1)
+    bits = [i for i in range(size) if gray >> i & 1]
+    mask = sum(flips[i] for i in bits)
+    r = [sum(row[i] for i in bits) for row in form]
+    gap = sum(r[i] for i in bits)
     packed = pack(value + bias for value in r)
     for rank in range(start, stop):
         if rank > start:
             bit = (rank & -rank).bit_length() - 1
-            mask ^= 1 << bit
+            flip = flips[bit]
+            mask ^= flip
             r_bit = (packed >> shifts[bit] & lane) - bias
-            if mask >> bit & 1:
+            if mask & flip:
                 gap += 2 * r_bit + diagonal[bit]
                 packed += columns[bit]
             else:
@@ -595,32 +624,37 @@ def _histogram(
 
 
 def _sweep_worker(job) -> list[tuple[int, bool, bool]]:
-    """Disagreements among the masks at Gray-code ranks [start, stop).
+    """Disagreements among the relations whose live part is at Gray-code
+    ranks [start, stop) of the live bits.
 
-    Each class word contributes one profile per statistic (see
-    statistics.inversion_profile), identical profiles merged with their
-    multiplicities.  A nonzero second-moment form (see _moment_form and
-    _moment_walk) settles that the statistics are not equidistributed;
-    where it vanishes, the exact check sums each distinct profile over the
-    mask's bits and compares the histograms.  The predicate is a lookup in
-    the generated set of masks it accepts.
+    Each live mask gets one verdict: a nonzero second-moment form (see
+    _moment_form and _moment_walk) settles that the statistics are not
+    equidistributed; where it vanishes, the exact check sums each distinct
+    profile over the mask's live bits and compares the histograms.  A dead
+    bit changes no profile sum, so the verdict holds for all the mask's
+    completions (the mask with any subset of the dead bits added).  The
+    predicate side is the generated set of masks it accepts, grouped by
+    live part: if the statistics differ, the disagreements are the accepted
+    completions; if they agree, the completions not accepted.
     """
-    n, alpha, builders, accepted, start, stop = job
-    tallies: list[Counter[tuple[int, ...]]] = [Counter() for _ in builders]
-    for word in rearrangement_class(alpha, None):
-        for build, tally in zip(builders, tallies):
-            tally[build(n, word.letters)] += 1
-    stats = [(list(zip(*tally)), list(tally.values())) for tally in tallies]
+    form, live, stats, completions, accepted, start, stop = job
+    flips = [1 << b for b in live]
     found = []
-    for mask, gap in _moment_walk(_moment_form(tallies, n * n), start, stop):
+    for mask, gap in _moment_walk(form, live, start, stop):
         equal = not gap
         if equal:
-            bits = [b for b in range(n * n) if mask >> b & 1]
+            bits = [i for i, flip in enumerate(flips) if mask & flip]
             first, *rest = (_histogram(*stat, bits) for stat in stats)
             equal = all(histogram == first for histogram in rest)
-        predicate = mask in accepted
-        if predicate != equal:
-            found.append((mask, predicate, equal))
+        hits = accepted.get(mask, ())
+        if equal:
+            found.extend(
+                (mask | dead, False, True)
+                for dead in completions
+                if mask | dead not in hits
+            )
+        else:
+            found.extend((hit, True, False) for hit in hits)
     return found
 
 
@@ -638,7 +672,6 @@ def _verify(
     _check_alphabet(n, max_alphabet)
     _check_jobs(jobs)
     _check_class(alpha, max_class)
-    count = 1 << (n * n)
     started = time.perf_counter()
     if check == CHECK_INV_MAJ:
         builders = (inversion_profile, major_profile)
@@ -648,15 +681,38 @@ def _verify(
         sor = partial(sorting_profile, tie_rule=tie_rule)
         builders = (inversion_profile, major_profile, sor)
         accepted = _sorting_masks(alpha)
-    job = (n, alpha, builders, accepted)
-    found = sorted(chain.from_iterable(_run_sharded(_sweep_worker, job, count, jobs)))
+    tallies: list[Counter[tuple[int, ...]]] = [Counter() for _ in builders]
+    for word in rearrangement_class(alpha, None):
+        for build, tally in zip(builders, tallies):
+            tally[build(n, word.letters)] += 1
+    # a bit is dead when no profile of any statistic reads it; dropping the
+    # dead entries merges no two profiles, since they are zero in all
+    live = [b for b in range(n * n) if any(p[b] for tally in tallies for p in tally)]
+    tallies = [
+        Counter({tuple(p[b] for b in live): c for p, c in tally.items()})
+        for tally in tallies
+    ]
+    live_mask = sum(1 << b for b in live)
+    grouped: dict[int, set[int]] = {}
+    for mask in accepted:
+        grouped.setdefault(mask & live_mask, set()).add(mask)
+    completions = _submasks(b for b in range(n * n) if not live_mask >> b & 1)
+    job = (
+        _moment_form(tallies, len(live)),
+        live,
+        [(list(zip(*tally)), list(tally.values())) for tally in tallies],
+        completions,
+        grouped,
+    )
+    parts = _run_sharded(_sweep_worker, job, 1 << len(live), jobs)
+    found = sorted(chain.from_iterable(parts))
     elapsed = time.perf_counter() - started
     disagreements = tuple(
         Disagreement(relation_from_mask(n, mask), predicate, equal)
         for mask, predicate, equal in found
     )
     return VerificationReport(
-        check, n, alpha, tie_rule, count, disagreements, elapsed
+        check, n, alpha, tie_rule, 1 << (n * n), disagreements, elapsed
     )
 
 

@@ -1,5 +1,6 @@
 """Brute-force distributions and the exhaustive relation sweeps."""
 
+import concurrent.futures
 import itertools
 import time
 from collections import Counter
@@ -8,6 +9,7 @@ from functools import partial
 import pytest
 
 import mahonian.oracle as oracle
+from mahonian.statistics import inversion_profile, major_profile, sorting_profile
 
 from mahonian import (
     AlphabetMismatch,
@@ -125,7 +127,7 @@ def pool_starts(monkeypatch):
         def map(self, fn, batches):
             return map(fn, batches)
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
     return started
 
@@ -454,6 +456,56 @@ def test_sweeps_match_the_per_relation_route(counts):
             assert as_rows(report) == expected[rule]
 
 
+def full_walks(n, alpha):
+    """Disagreements of both theorems from every one of the 2^(n*n) masks:
+    each word's public profiles summed over the mask's bits, with no moment
+    filter and no live/dead split, and the public predicates; thm2 is keyed
+    by tie rule."""
+    words = [word.letters for word in rearrangement_class(alpha)]
+    builders = {"inv": inversion_profile, "maj": major_profile} | {
+        rule: partial(sorting_profile, tie_rule=rule) for rule in TIE_RULES
+    }
+    profiles = {key: [build(n, w) for w in words] for key, build in builders.items()}
+    found = {"thm1": []} | {rule: [] for rule in TIE_RULES}
+    for mask in range(1 << (n * n)):
+        bits = [b for b in range(n * n) if mask >> b & 1]
+        histograms = {
+            key: Counter(sum(p[b] for b in bits) for p in rows)
+            for key, rows in profiles.items()
+        }
+        relation = relation_from_mask(n, mask)
+        inv_maj = histograms["inv"] == histograms["maj"]
+        essential = is_essentially_bipartitional(relation, alpha) is not None
+        if essential != inv_maj:
+            found["thm1"].append((mask, essential, inv_maj))
+        conditions = satisfies_sorting_conditions(relation, alpha)[0]
+        for rule in TIE_RULES:
+            equal = inv_maj and histograms[rule] == histograms["inv"]
+            if conditions != equal:
+                found[rule].append((mask, conditions, equal))
+    return found
+
+
+ALL_SMALL_CLASSES = [
+    counts for n in (1, 2, 3) for counts in itertools.product(range(3), repeat=n)
+]
+
+
+@pytest.mark.parametrize("counts", ALL_SMALL_CLASSES, ids=str)
+def test_live_bit_sweeps_match_a_full_walk(counts):
+    """Walking only the live bits and expanding each verdict over the dead
+    completions gives the full walk's disagreements, zero counts and classes
+    with no live bit at all ((1, 0), (0, 0)) included."""
+    n, alpha = len(counts), MultiplicityVector(counts)
+    expected = full_walks(n, alpha)
+    for jobs in (1, 2):
+        assert as_rows(verify_theorem1(n, alpha, jobs=jobs)) == expected["thm1"]
+        for rule in TIE_RULES:
+            report = verify_theorem2(n, alpha, tie_rule=rule, jobs=jobs)
+            assert report.relation_count == 1 << (n * n)
+            assert as_rows(report) == expected[rule], (rule, jobs)
+
+
 @pytest.mark.parametrize("counts", [(2, 1), (1, 1, 2)], ids=str)
 def test_exact_check_alone_matches_the_per_relation_route(monkeypatch, counts):
     """With a moment form that vanishes everywhere, every mask goes to the
@@ -547,3 +599,17 @@ def test_full_n4_sweeps_within_budget():
         assert report.ok
         assert report.relation_count == 65536
         assert elapsed < 30, f"{verify.__name__} took {elapsed:.1f}s of its 30s budget"
+
+
+def test_full_n5_sweeps_within_budget():
+    """Both theorems (the sorting index under the rightmost rule) over all
+    2^25 relations on five letters; each sweep has a budget of 30s."""
+    alpha = MultiplicityVector((1,) * 5)
+    sweeps = (verify_theorem1, partial(verify_theorem2, tie_rule=TIE_RIGHTMOST))
+    for verify in sweeps:
+        start = time.perf_counter()
+        report = verify(5, alpha, max_alphabet=5)
+        elapsed = time.perf_counter() - start
+        assert report.ok
+        assert report.relation_count == 1 << 25
+        assert elapsed < 30, f"{verify} took {elapsed:.1f}s of its 30s budget"

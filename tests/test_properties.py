@@ -313,7 +313,8 @@ def test_moment_walk_tracks_the_second_moment_gap(case):
         builders.append(partial(sorting_profile, tie_rule=rule))
         kernels.append(partial(graphical_sorting_index, tie_rule=rule))
     tallies = [Counter(build(n, letters) for letters in words) for build in builders]
-    walked = list(oracle._moment_walk(oracle._moment_form(tallies, n * n), start, stop))
+    form = oracle._moment_form(tallies, n * n)
+    walked = list(oracle._moment_walk(form, list(range(n * n)), start, stop))
     assert [mask for mask, _ in walked] == [k ^ (k >> 1) for k in range(start, stop)]
     for mask, gap in walked:
         relation = relation_from_mask(n, mask)
