@@ -160,6 +160,15 @@ def test_gf_rejects_non_bipartitional_relations(capsys):
     assert "not bipartitional" in err
 
 
+def test_gf_above_the_degree_cap_exits_2(capsys):
+    for stat in ("inv", "sor"):
+        code, out, err = run(
+            capsys, "gf", "--alpha", "5000,5000", "--stat", stat, "--edges", "2 1"
+        )
+        assert (code, out) == (2, "")
+        assert "exceeds the cap" in err
+
+
 def test_gf_sorting_conditions_failure_exits_2(capsys):
     code, _, err = run(
         capsys, "gf", "--alpha", "1,2", "--stat", "sor", "--edges", "2 1;2 2"

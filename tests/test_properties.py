@@ -6,7 +6,8 @@ brute-force class, the block code round trip on random qualifying
 relations, the sweep's incrementally tracked second-moment form against
 moments computed directly, the complement identity, the inv/maj
 distribution DP and the undone sort behind the sor distribution against the
-class scored word by word and against the closed forms."""
+class scored word by word and against the closed forms, and the Gaussian
+multinomial's product formula against box-partition counts and the DP."""
 
 from collections import Counter
 from functools import partial
@@ -28,6 +29,7 @@ from mahonian import (
     TIE_RULES,
     bcode_decode,
     bcode_encode,
+    box_partition_counts,
     class_size,
     code_count,
     complement,
@@ -43,6 +45,7 @@ from mahonian import (
     graphical_sorting_trace,
     is_bipartitional,
     is_essentially_bipartitional,
+    q_multinomial,
     rearrangement_class,
     rearrangement_class_range,
     relation_from_mask,
@@ -424,3 +427,31 @@ def test_unsorting_matches_the_closed_form(case):
     closed = gf_sorting(alpha, to_ordered_bipartition(relation))
     got = distribution("sor-graphical", alpha, relation, tie_rule=TIE_RIGHTMOST)
     assert got == closed
+
+
+@st.composite
+def small_part_lists(draw):
+    """One to 6 parts of total mass at most 30."""
+    parts = []
+    for _ in range(draw(st.integers(1, 6))):
+        parts.append(draw(st.integers(0, 30 - sum(parts))))
+    return tuple(parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_part_lists())
+@example((6, 5, 4, 3, 2, 1))
+@example((0, 30))
+@example((1,) * 6)
+def test_q_multinomial_matches_box_products_and_the_dp(parts):
+    """The product formula equals the telescoping product of box-partition
+    counts [s + p; p] = box(s, p), multiplied as polynomials, and the
+    inversion distribution the transfer-matrix DP builds."""
+    product = QPolynomial.one()
+    mass = 0
+    for p in parts:
+        product = product * box_partition_counts(mass, p)
+        mass += p
+    got = q_multinomial(parts)
+    assert got == product
+    assert got == distribution("inv", MultiplicityVector(parts), max_class=None)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mahonian.qseries as qseries
 from mahonian import (
     ConditionsNotSatisfied,
     InvalidArguments,
@@ -17,6 +18,7 @@ from mahonian import (
     OrderedBipartition,
     QPolynomial,
     Relation,
+    SizeCapExceeded,
     box_partition_counts,
     from_ordered_bipartition,
     gf_bipartitional,
@@ -141,9 +143,9 @@ def test_q_binomial_symmetry_and_counting():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
 def test_q_binomial_is_symmetric_and_follows_q_pascal(case):
-    """The triangle is filled only to min(k, n - k); the q-Pascal step from
-    row n - 1 and the box-partition recurrence check that shortcut from
-    outside it."""
+    """The product formula runs over the shorter side only; the q-Pascal
+    step from row n - 1 and the box-partition recurrence check it from
+    outside."""
     n, k = case
     p = q_binomial(n, k)
     assert p == q_binomial(n, n - k) == box_partition_counts(n - k, k)
@@ -155,11 +157,90 @@ def test_q_binomial_is_symmetric_and_follows_q_pascal(case):
 
 def test_q_multinomial_of_one_long_block():
     """A single block of mass 600 is the Gaussian binomial [600, 600] = 1,
-    which the symmetric fill gives without building the triangle."""
+    which the product formula gives with no factor at all."""
     start = time.perf_counter()
     assert q_multinomial((600,)) == 1
     elapsed = time.perf_counter() - start
     assert elapsed < 1, f"took {elapsed:.2f}s of its 1s budget"
+
+
+def test_box_partition_counts_of_long_thin_boxes():
+    """The partition recurrence is filled iteratively, so a box 1,200 long
+    on either side needs no deep recursion."""
+    line = QPolynomial([1] * 1201)
+    assert box_partition_counts(1200, 1) == line == q_binomial(1201, 1)
+    assert box_partition_counts(1, 1200) == line
+
+
+def test_q_multinomial_degree_cap(monkeypatch):
+    """The degree sum_{i<j} p_i p_j is checked before any work: a degree at
+    the cap is computed, one above it raises."""
+    cap = qseries.MAX_QSERIES_DEGREE
+    start = time.perf_counter()
+    for call in (
+        lambda: q_multinomial((201, 200)),
+        lambda: q_multinomial((5000, 5000)),
+        lambda: q_binomial(10000, 5000),
+        lambda: gf_bipartitional(
+            MultiplicityVector((5000, 5000)),
+            OrderedBipartition((frozenset({2}), frozenset({1})), (0, 0)),
+        ),
+    ):
+        with pytest.raises(SizeCapExceeded, match=str(cap)):
+            call()
+    assert time.perf_counter() - start < 0.5
+    monkeypatch.setattr(qseries, "MAX_QSERIES_DEGREE", 6)
+    assert q_multinomial((2, 3)) == q_binomial(5, 2)
+    assert q_multinomial((1, 1, 1, 1))(1) == 24
+    assert q_multinomial((50,)) == 1
+    for parts in ((1, 7), (2, 2, 1)):
+        with pytest.raises(SizeCapExceeded):
+            q_multinomial(parts)
+
+
+def test_closed_forms_multiply_no_polynomials(monkeypatch):
+    """gf_bipartitional and gf_sorting scale by integers and shift by
+    leading zeros; no polynomial product runs."""
+    products = []
+    multiply = QPolynomial.__mul__
+
+    def counting(self, other):
+        if isinstance(other, QPolynomial):
+            products.append((self, other))
+        return multiply(self, other)
+
+    monkeypatch.setattr(QPolynomial, "__mul__", counting)
+    monkeypatch.setattr(QPolynomial, "__rmul__", counting)
+    alpha = MultiplicityVector((2, 1, 1, 3, 1))
+    plain = OrderedBipartition(
+        (frozenset({4, 5}), frozenset({3}), frozenset({1, 2})), (0, 0, 0)
+    )
+    flagged = OrderedBipartition(plain.blocks, (1, 0, 1))
+    assert gf_sorting(alpha, plain)(1) == 3360
+    assert gf_bipartitional(alpha, flagged) == enumerated_gf(
+        from_ordered_bipartition(flagged), alpha
+    )
+    assert products == []
+
+
+def test_gaussian_multinomials_within_budget():
+    """Four blocks of 50 (degree 15,000) and a flagged two-block class of
+    mass 200 each take under a second."""
+    start = time.perf_counter()
+    p = q_multinomial((50,) * 4)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1, f"took {elapsed:.2f}s of its 1s budget"
+    assert p.degree == 15_000 and p(1) == multinomial((50,) * 4)
+    alpha = MultiplicityVector((40, 60, 100))
+    bp = OrderedBipartition((frozenset({1, 2}), frozenset({3})), (1, 1))
+    start = time.perf_counter()
+    p = gf_bipartitional(alpha, bp)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1, f"took {elapsed:.2f}s of its 1s budget"
+    shift = 2 * math.comb(100, 2)
+    assert p.coeffs[:shift] == (0,) * shift
+    assert p.degree == shift + 100 * 100
+    assert p(1) == multinomial((100, 100)) * multinomial((40, 60))
 
 
 @pytest.mark.parametrize("counts", [(1, 1, 1), (2, 2), (1, 2, 1), (3, 2)])
