@@ -22,10 +22,14 @@ alphabet must occur, and the last block must also be thin (at most two
 distinct letters, the larger one unique).  A fat block has more internal
 arrangements than marker values, so no code of this shape can distinguish
 its words.
+
+The class's block structure is derived and checked once per (relation,
+multiplicity vector), and the last 32 are kept.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,6 +40,7 @@ from .statistics import TIE_RIGHTMOST, _contribution, _sort_moves
 from .words import MultiplicityVector, Word, infer_alpha, make_word
 
 BCODE_TIE_RULE = TIE_RIGHTMOST
+_PLAN_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -46,10 +51,15 @@ class BCode:
     markers: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "partitions", tuple(tuple(part) for part in self.partitions)
-        )
-        object.__setattr__(self, "markers", tuple(self.markers))
+        try:
+            partitions = tuple(tuple(part) for part in self.partitions)
+            markers = tuple(self.markers)
+        except TypeError as exc:
+            raise InvalidCode(
+                f"a code needs a sequence of partitions and a sequence of markers ({exc})"
+            ) from None
+        object.__setattr__(self, "partitions", partitions)
+        object.__setattr__(self, "markers", markers)
         if len(self.partitions) != len(self.markers):
             raise InvalidCode("one marker per partition required")
         for value in itertools.chain(*self.partitions, self.markers):
@@ -83,9 +93,14 @@ class _BlockInfo:
     copies: tuple[int, ...]  # all copies, ascending
 
 
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _block_structure(
     relation: Relation, alpha: MultiplicityVector
-) -> tuple[OrderedBipartition, list[_BlockInfo]]:
+) -> tuple[OrderedBipartition, tuple[_BlockInfo, ...], tuple[int, ...], tuple[int, ...]]:
+    """The class's code plan: its bipartition, one _BlockInfo per block, the
+    block of each letter (indexed by letter) and the suffix masses.  Only
+    successes are cached, so a failing class raises, with fresh reasons, on
+    every call."""
     bp, reasons = _sorting_bipartition(relation, alpha)
     ok = not reasons
     for x in range(1, alpha.n + 1):
@@ -107,21 +122,24 @@ def _block_structure(
     if reasons:
         raise ConditionsNotSatisfied(reasons)
     info = []
-    for block in bp.blocks:
+    block_of = [0] * (alpha.n + 1)  # slot 0 unused
+    for j, block in enumerate(bp.blocks):
         letters = tuple(sorted(block))
         copies = tuple(
             x for x in letters for _ in range(alpha.count_of(x))
         )
         info.append(_BlockInfo(letters, len(copies), len(letters) == 2, copies))
-    return bp, info
+        for x in letters:
+            block_of[x] = j
+    return bp, tuple(info), tuple(block_of), _suffix_masses(info)
 
 
-def _suffix_masses(info: list[_BlockInfo]) -> list[int]:
+def _suffix_masses(info: list[_BlockInfo]) -> tuple[int, ...]:
     # suffix[j] = total multiplicity of blocks after j
     suffix = [0] * len(info)
     for j in range(len(info) - 2, -1, -1):
         suffix[j] = suffix[j + 1] + info[j + 1].mass
-    return suffix
+    return tuple(suffix)
 
 
 def bcode_encode(relation: Relation, word) -> BCode:
@@ -137,8 +155,7 @@ def _encode_with_rule(relation: Relation, word, tie_rule: str) -> BCode:
     else:
         letters = tuple(word)
         alpha = infer_alpha(letters, relation.n)
-    bp, info = _block_structure(relation, alpha)
-    block_of = {x: j for j, block in enumerate(bp.blocks) for x in block}
+    _, info, block_of, _ = _block_structure(relation, alpha)
 
     contributions: list[list[int]] = [[] for _ in info]
     markers = [0] * len(info)
@@ -162,16 +179,17 @@ def validate_code(relation: Relation, alpha: MultiplicityVector, code: BCode) ->
     the class: partition j has one part per copy in block j, nonincreasing,
     parts at most the later blocks' total multiplicity; markers are 0 for
     one-letter blocks and a copy position for two-letter blocks."""
-    _, info = _block_structure(relation, alpha)
-    _check_code(info, code)
+    _, info, _, suffix = _block_structure(relation, alpha)
+    _check_code(info, suffix, code)
 
 
-def _check_code(info: list[_BlockInfo], code: BCode) -> None:
+def _check_code(
+    info: tuple[_BlockInfo, ...], suffix: tuple[int, ...], code: BCode
+) -> None:
     if len(code.partitions) != len(info):
         raise InvalidCode(
             f"expected {len(info)} partitions, got {len(code.partitions)}"
         )
-    suffix = _suffix_masses(info)
     for j, (part, block) in enumerate(zip(code.partitions, info)):
         label = j + 1
         if len(part) != block.mass:
@@ -213,8 +231,8 @@ def bcode_decode(relation: Relation, alpha: MultiplicityVector, code: BCode) -> 
     move the small copies, and the top letter finally moves left by its part
     plus the number of copies that sat right of it, undoing its head start.
     """
-    _, info = _block_structure(relation, alpha)
-    _check_code(info, code)
+    _, info, _, suffix = _block_structure(relation, alpha)
+    _check_code(info, suffix, code)
     word: list[int] = []
     for j in range(len(info) - 1, -1, -1):
         block = info[j]
@@ -245,8 +263,7 @@ def _bounded_partitions(length: int, bound: int):
 
 def enumerate_codes(relation: Relation, alpha: MultiplicityVector):
     """All valid codes for the class, in a fixed deterministic order."""
-    _, info = _block_structure(relation, alpha)
-    suffix = _suffix_masses(info)
+    _, info, _, suffix = _block_structure(relation, alpha)
     part_choices = [
         tuple(_bounded_partitions(block.mass, bound))
         for block, bound in zip(info, suffix)
@@ -262,8 +279,7 @@ def enumerate_codes(relation: Relation, alpha: MultiplicityVector):
 
 def code_count(relation: Relation, alpha: MultiplicityVector) -> int:
     """Number of valid codes; matches the size of the rearrangement class."""
-    _, info = _block_structure(relation, alpha)
-    suffix = _suffix_masses(info)
+    _, info, _, suffix = _block_structure(relation, alpha)
     total = 1
     for block, bound in zip(info, suffix):
         total *= math.comb(bound + block.mass, block.mass)

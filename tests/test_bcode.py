@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from mahonian import (
+    AlphabetMismatch,
     BCode,
     BCODE_TIE_RULE,
     ConditionsNotSatisfied,
@@ -27,7 +28,7 @@ from mahonian import (
     rearrangement_class,
     validate_code,
 )
-from mahonian.bcode import _encode_with_rule
+from mahonian.bcode import _PLAN_CACHE_SIZE, _block_structure, _encode_with_rule
 
 CHAIN = from_ordered_bipartition(
     OrderedBipartition(
@@ -141,6 +142,14 @@ def test_validate_code_rejects_malformed_codes():
         bcode_decode(CHAIN, ALPHA, BCode(((4, 2, 2), (1,), (0, 0, 0)), (3, 0, 2)))
 
 
+def test_code_rejects_non_iterables():
+    for partitions, markers in (((1, 2), (0, 0)), (((1,),), 0), (None, (0,))):
+        with pytest.raises(InvalidCode):
+            BCode(partitions, markers)
+    with pytest.raises(InvalidCode):
+        BCode.from_json_dict({"partitions": [1, 2], "markers": [0, 0]})
+
+
 def test_decode_checks_the_conditions_once(monkeypatch):
     import mahonian.bcode as bcode_module
     import mahonian.relations as relations_module
@@ -161,13 +170,14 @@ def test_decode_checks_the_conditions_once(monkeypatch):
     monkeypatch.setattr(
         relations_module, "to_ordered_bipartition", counted_bipartition
     )
+    _block_structure.cache_clear()
     code = BCode(((4, 2, 1, 1), (1,), (0, 0, 0)), (3, 0, 2))
     word = bcode_decode(CHAIN, ALPHA, code)
     assert word.letters == (4, 2, 3, 4, 1, 5, 1, 4)
     assert (len(checks), len(bipartitions)) == (1, 1)
-    # encode derives the sorting bipartition once as well
+    # encode on the same class reuses the plan decode derived
     assert bcode_encode(CHAIN, word) == code
-    assert (len(checks), len(bipartitions)) == (2, 2)
+    assert (len(checks), len(bipartitions)) == (1, 1)
     # decode reports a malformed code exactly as validate_code does
     bad = BCode(((5, 2, 2, 1), (1,), (0, 0, 0)), (3, 0, 2))
     with pytest.raises(InvalidCode) as by_validate:
@@ -175,6 +185,52 @@ def test_decode_checks_the_conditions_once(monkeypatch):
     with pytest.raises(InvalidCode) as by_decode:
         bcode_decode(CHAIN, ALPHA, bad)
     assert str(by_decode.value) == str(by_validate.value)
+
+
+def test_equal_relations_and_classes_share_one_plan():
+    _block_structure.cache_clear()
+    plan = _block_structure(CHAIN, ALPHA)
+    twin = Relation.from_pairs(CHAIN.n, sorted(CHAIN.edges))
+    twin_alpha = MultiplicityVector(tuple(list(ALPHA.counts)))
+    assert twin is not CHAIN and twin_alpha is not ALPHA
+    assert _block_structure(twin, twin_alpha) is plan
+    info = _block_structure.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    word = make_word((4, 2, 3, 4, 5, 4, 1, 1), twin_alpha)
+    assert bcode_encode(twin, word) == bcode_encode(CHAIN, word)
+
+
+def test_a_failing_class_raises_on_every_call():
+    u = Relation.from_pairs(2, [(1, 2)])
+    alpha = MultiplicityVector((2, 2))
+    with pytest.raises(ConditionsNotSatisfied) as first:
+        code_count(u, alpha)
+    reasons = list(first.value.reasons)
+    assert reasons
+    first.value.reasons.append("changed by the caller")
+    with pytest.raises(ConditionsNotSatisfied) as second:
+        code_count(u, alpha)
+    assert second.value.reasons == reasons
+    with pytest.raises(AlphabetMismatch):
+        code_count(natural_order(3), alpha)
+    with pytest.raises(AlphabetMismatch):
+        code_count(natural_order(3), alpha)
+
+
+def test_round_trips_survive_plan_eviction():
+    _block_structure.cache_clear()
+    word = make_word((4, 2, 3, 4, 5, 4, 1, 1), ALPHA)
+    code = bcode_encode(CHAIN, word)
+    nat3 = natural_order(3)
+    for k in range(1, _PLAN_CACHE_SIZE + 9):
+        alpha = MultiplicityVector((1, 1, k))
+        assert code_count(nat3, alpha) == class_size(alpha)
+    assert _block_structure.cache_info().currsize == _PLAN_CACHE_SIZE
+    misses = _block_structure.cache_info().misses
+    assert bcode_decode(CHAIN, ALPHA, code).letters == word.letters
+    assert bcode_encode(CHAIN, word) == code
+    # the worked class was evicted, so it was derived again, once
+    assert _block_structure.cache_info().misses == misses + 1
 
 
 def test_code_requires_every_letter_to_occur():

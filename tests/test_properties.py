@@ -52,6 +52,7 @@ from mahonian import (
     to_ordered_bipartition,
     unrank_word,
 )
+from mahonian.bcode import _block_structure
 from mahonian.statistics import inversion_profile, major_profile, sorting_profile
 
 
@@ -283,6 +284,19 @@ def test_bcode_round_trips_on_qualifying_relations(case, data):
     assert len(codes) == size
     for code in data.draw(st.lists(st.sampled_from(codes), min_size=1, max_size=5)):
         assert bcode_encode(relation, bcode_decode(relation, alpha, code)) == code
+
+
+@settings(max_examples=100, deadline=None)
+@given(qualifying_cases())
+def test_cached_plan_matches_a_fresh_derivation(case):
+    relation, alpha = case
+    plan = _block_structure(relation, alpha)
+    assert plan == _block_structure.__wrapped__(relation, alpha)
+    assert _block_structure(relation, alpha) is plan
+    bp, info, block_of, suffix = plan
+    assert all(x in bp.blocks[block_of[x]] for x in range(1, alpha.n + 1))
+    masses = [block.mass for block in info]
+    assert list(suffix) == [sum(masses[j + 1:]) for j in range(len(info))]
 
 
 @st.composite
