@@ -10,16 +10,14 @@ repeated letter the mover depends on the copies' original positions, which
 a partly undone word does not record, so that one case sorts every word of
 the class.
 
-The verifiers walk every relation on the alphabet (all 2^(n*n) bitmasks)
-and compare two routes: the structural predicates in relations.py, and
-whether the statistics are equidistributed over the class.  These are the
-ground-truth checks the predicates are tested against.
-
-verify_theorem1 sweeps the equivalence "inv and maj variants are
-equidistributed over the class iff the relation is essentially
-bipartitional"; verify_theorem2 adds the sorting index on one side and the
-sorting conditions on the other.  Both return a VerificationReport listing
-any relation where predicate and enumeration disagree.
+The verifiers cover every relation on the alphabet (all 2^(n*n) bitmasks)
+and compare two routes, the structural predicate and equidistribution over
+the class; they are the ground truth the predicates are tested against.
+verify_theorem1 sweeps "inv and maj variants are equidistributed over the
+class iff the relation is essentially bipartitional"; verify_theorem2 adds
+the sorting index on one side and the sorting conditions on the other.
+Both return a VerificationReport listing any relation where the two routes
+disagree.
 
 A sweep never reruns the per-word statistics per relation.  Every statistic
 is a sum over the relation's pairs of a per-word profile (see
@@ -45,15 +43,17 @@ that is an observation, so the exact check stays.  Each live mask's
 verdict is then expanded over its 2^dead completions, so the report still
 covers all 2^(n*n) relations.
 
-The predicate side is generated once per sweep, not tested mask by mask:
-the essentially bipartitional relations are the bipartitional ones with any
-loops on letters of multiplicity 1 toggled, and the relations meeting the
-sorting conditions are the qualifying unflagged bipartitional ones with any
-loops on letters of multiplicity at most 1 added.  A mask's predicate is a
-set lookup, so no swept relation is built or tested.  The generated masks
-are grouped by their live part, so expanding a live mask's verdict reads
-only its own group: if the statistics differ, the disagreements are the
-accepted completions; if they agree, the completions not accepted.
+The predicate side is generated once per sweep by bit arithmetic, so no
+swept relation is built or tested and a mask's predicate is a set lookup.
+A block S followed by the letters L writes the row L, or L | S when S is
+underlined, into the row of each letter of S as one product with a spread
+of S (see _bipartitional_masks); toggling any loops on letters of
+multiplicity 1 gives the essentially bipartitional relations.  The sorting
+conditions force runs of consecutive letters, largest first, each before
+the last of one letter or of two whose larger has multiplicity 1 (see
+_sorting_masks), plus any loops on letters of multiplicity at most 1.  The
+masks are grouped by their live part, so _sweep_worker expands a live
+mask's verdict from its own group alone.
 
 The copy-label-max enumeration and the sweeps share one sharded path,
 _run_sharded: the work is cut into contiguous ranges (of class ranks for a
@@ -73,7 +73,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, product, repeat
+from itertools import chain, repeat
 from operator import add, sub
 from typing import Iterator, Sequence
 
@@ -82,10 +82,8 @@ from .qseries import QPolynomial
 from .relations import (
     Relation,
     _check_same_alphabet,
-    _induced_edges,
     natural_order,
     relation_to_json_dict,
-    satisfies_sorting_conditions,
 )
 from .statistics import (
     DEFAULT_TIE_RULE,
@@ -359,24 +357,13 @@ def equidistributed(
 def relation_from_mask(n: int, mask: int) -> Relation:
     """Relation for a bitmask over the n*n ordered pairs, row-major: bit
     (x-1)*n + (y-1) holds the pair (x, y)."""
-    edges = frozenset(
-        (x, y)
-        for x in range(1, n + 1)
-        for y in range(1, n + 1)
-        if mask >> ((x - 1) * n + (y - 1)) & 1
-    )
-    return Relation(n, edges)
-
-
-def _mask_of(n: int, edges) -> int:
-    mask = 0
-    for x, y in edges:
-        mask |= 1 << ((x - 1) * n + (y - 1))
-    return mask
+    edges = [(b // n + 1, b % n + 1) for b in range(n * n) if mask >> b & 1]
+    return Relation(n, frozenset(edges))
 
 
 def relation_to_mask(relation: Relation) -> int:
-    return _mask_of(relation.n, relation.edges)
+    n = relation.n
+    return sum(1 << ((x - 1) * n + (y - 1)) for x, y in relation.edges)
 
 
 def _check_alphabet(n: int, max_alphabet: int) -> None:
@@ -467,18 +454,6 @@ class VerificationReport:
         }
 
 
-def _ordered_partitions(letters: frozenset[int]) -> Iterator[tuple[frozenset[int], ...]]:
-    """Every ordered set partition of the letters (a Fubini number of them)."""
-    if not letters:
-        yield ()
-        return
-    for size in range(1, len(letters) + 1):
-        for first in combinations(sorted(letters), size):
-            block = frozenset(first)
-            for rest in _ordered_partitions(letters - block):
-                yield (block, *rest)
-
-
 def _submasks(bits) -> list[int]:
     """Masks of every subset of the given bit positions."""
     masks = [0]
@@ -492,38 +467,62 @@ def _loop_masks(n: int, letters) -> list[int]:
     return _submasks((x - 1) * (n + 1) for x in letters)
 
 
+def _bipartitional_masks(n: int) -> list[int]:
+    """Masks of the bipartitional relations on 1..n, each once.
+
+    spread[S] holds bit (x-1)*n for each letter x of the letter set S (bit
+    x-1 of S).  A block S followed by the letter set L gives each letter of
+    S the row L, or L | S when S is underlined: it adds (L | flag*S) *
+    spread[S] to the mask, with no carries since a row is n bits.  A
+    depth-first walk takes all the letters left as the last block, or each
+    proper nonempty subset, block = (block-1) & rest, as the next one.
+    """
+    spread = [0] * (1 << n)
+    for letters in range(1, 1 << n):
+        low = (letters & -letters).bit_length() - 1
+        spread[letters] = spread[letters & (letters - 1)] | 1 << low * n
+    found, stack = [], [((1 << n) - 1, 0)]
+    while stack:
+        rest, mask = stack.pop()
+        found += (mask, mask | rest * spread[rest])  # rest as the last block
+        block = (rest - 1) & rest
+        while block:
+            later, s = rest ^ block, spread[block]
+            stack += ((later, mask | later * s), (later, mask | (later | block) * s))
+            block = (block - 1) & rest
+    return found
+
+
 def _essential_masks(alpha: MultiplicityVector) -> set[int]:
     """Masks of the relations essentially bipartitional relative to the
-    class: every bipartitional relation with any subset of the loops on
-    letters of multiplicity 1 toggled."""
+    class: every bipartitional relation (see _bipartitional_masks) with any
+    subset of the loops on letters of multiplicity 1 toggled."""
     n = alpha.n
     toggles = _loop_masks(n, [x for x in range(1, n + 1) if alpha.count_of(x) == 1])
-    found = set()
-    for blocks in _ordered_partitions(frozenset(range(1, n + 1))):
-        for flags in product((0, 1), repeat=len(blocks)):
-            mask = _mask_of(n, _induced_edges(blocks, flags))
-            found.update(mask ^ toggle for toggle in toggles)
-    return found
+    return {mask ^ toggle for mask in _bipartitional_masks(n) for toggle in toggles}
 
 
 def _sorting_masks(alpha: MultiplicityVector) -> set[int]:
     """Masks of the relations meeting the sorting conditions.
 
-    The conditions read only the effective core, and the first one makes it
-    the relation of an unflagged bipartition, hence loop-free.  So each
-    unflagged bipartitional relation is tested once, and an accepted one
-    stands for itself plus any subset of the loops the core drops: those on
-    letters of multiplicity at most 1.
+    The conditions make the effective core an unflagged bipartition whose
+    pairs all descend, so its blocks are runs of consecutive letters,
+    largest first.  Walking down from letter n, a run before the last is one
+    letter, or two when the larger has multiplicity 1, and gives its letters
+    the row of every letter below it; the last run is the letters left.  A
+    core stands for itself with any loops on letters of multiplicity <= 1.
     """
     n = alpha.n
     loops = _loop_masks(n, [x for x in range(1, n + 1) if alpha.count_of(x) <= 1])
-    found = set()
-    for blocks in _ordered_partitions(frozenset(range(1, n + 1))):
-        edges = _induced_edges(blocks, (0,) * len(blocks))
-        if satisfies_sorting_conditions(Relation(n, edges), alpha)[0]:
-            mask = _mask_of(n, edges)
-            found.update(mask | loop for loop in loops)
-    return found
+    cores, stack = [], [(n, 0)]
+    while stack:
+        top, mask = stack.pop()
+        cores.append(mask)
+        widths = (1, 2) if alpha.count_of(top) == 1 else (1,)
+        for rest in (top - width for width in widths if width < top):
+            run = sum(1 << (x - 1) * n for x in range(rest + 1, top + 1))
+            stack.append((rest, mask | ((1 << rest) - 1) * run))
+    return {mask | loop for mask in cores for loop in loops}
 
 
 def _gram(tally: dict[tuple[int, ...], int], size: int) -> list[list[int]]:

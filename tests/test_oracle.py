@@ -34,6 +34,7 @@ from mahonian import (
     graphical_inversions,
     graphical_major_index,
     graphical_sorting_index,
+    is_bipartitional,
     is_essentially_bipartitional,
     natural_order,
     q_multinomial,
@@ -345,10 +346,9 @@ def test_verify_triple_sweep_fails_under_leftmost():
 
 @pytest.mark.parametrize("verify", [verify_theorem1, verify_theorem2])
 def test_sweeps_build_no_relation_per_swept_mask(monkeypatch, verify):
-    """Of the 512 relations swept, only the 13 generated sorting-condition
-    candidates (the unflagged bipartitions of three letters, each built and
-    cut to its effective core) and the reported disagreements get a
-    Relation or a bipartition reconstruction; no word builds one for its
+    """Of the 512 relations swept, only the reported disagreements get a
+    Relation: the predicate sets are generated as masks, so nothing is
+    reconstructed as a bipartition, and no word builds a relation for its
     profiles."""
     import mahonian.relations as relations_module
 
@@ -368,9 +368,8 @@ def test_sweeps_build_no_relation_per_swept_mask(monkeypatch, verify):
     monkeypatch.setattr(relations_module, "to_ordered_bipartition", counted_reconstruct)
     report = verify(3, MultiplicityVector((1, 1, 2)))
     assert report.relation_count == 512
-    candidates = 13 if verify is verify_theorem2 else 0
-    assert len(builds) <= 2 * candidates + len(report.disagreements) < 512
-    assert len(reconstructions) <= candidates
+    assert reconstructions == []
+    assert len(builds) == len(report.disagreements)
 
 
 def test_verify_sharded_matches_serial():
@@ -586,6 +585,36 @@ def test_generated_predicate_sets_match_the_predicates(counts):
             sorting.add(mask)
     assert oracle._essential_masks(alpha) == essential
     assert oracle._sorting_masks(alpha) == sorting
+
+
+def test_bipartitional_masks_are_the_closed_relations():
+    """The generator yields each bipartitional relation on n letters once
+    (OEIS A004123), and each passes the closure check, which shares no code
+    with the generator or with to_ordered_bipartition."""
+    for n, count in zip(range(1, 6), (2, 10, 74, 730, 9002)):
+        masks = oracle._bipartitional_masks(n)
+        assert len(masks) == len(set(masks)) == count
+        assert all(is_bipartitional(relation_from_mask(n, m)) for m in masks)
+
+
+def test_generated_predicate_sets_are_sound_on_five_letters():
+    """On five letters, where the full check of every relation is too slow,
+    every generated mask passes the public predicate."""
+    for counts, size in (((1,) * 5, 384), ((2, 2, 2, 1, 1), 40)):
+        alpha = MultiplicityVector(counts)
+        masks = oracle._sorting_masks(alpha)
+        assert len(masks) == size
+        assert all(
+            satisfies_sorting_conditions(relation_from_mask(5, m), alpha)[0]
+            for m in masks
+        )
+    alpha = MultiplicityVector((2, 2, 2, 1, 1))
+    masks = oracle._essential_masks(alpha)
+    assert len(masks) == 15096
+    assert all(
+        is_essentially_bipartitional(relation_from_mask(5, m), alpha) is not None
+        for m in masks
+    )
 
 
 def test_full_n4_sweeps_within_budget():
