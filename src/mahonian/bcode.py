@@ -144,12 +144,6 @@ def _suffix_masses(info: list[_BlockInfo]) -> tuple[int, ...]:
 
 def bcode_encode(relation: Relation, word) -> BCode:
     """Code of a word: sorted per-block step contributions plus markers."""
-    return _encode_with_rule(relation, word, BCODE_TIE_RULE)
-
-
-def _encode_with_rule(relation: Relation, word, tie_rule: str) -> BCode:
-    # tie_rule exists only so tests can demonstrate that the other rules
-    # break invertibility; bcode_encode always passes BCODE_TIE_RULE
     if isinstance(word, Word):
         letters, alpha = word.letters, word.alpha
     else:
@@ -159,7 +153,7 @@ def _encode_with_rule(relation: Relation, word, tie_rule: str) -> BCode:
 
     contributions: list[list[int]] = [[] for _ in info]
     markers = [0] * len(info)
-    for j, i, work in _sort_moves(letters, tie_rule):
+    for j, i, work in _sort_moves(letters, BCODE_TIE_RULE):
         b = block_of[work[j]]
         if not contributions[b] and info[b].two_letter:
             # top letter's position among the block's copies, read just

@@ -39,9 +39,8 @@ with O(live) work.  A nonzero form proves that the distributions differ;
 only the masks where it vanishes get the exact check, which sums the
 profiles over the mask's live bits and compares the histograms.  Equal
 second moments have matched equidistribution on every class tried, but
-that is an observation, so the exact check stays.  Each live mask's
-verdict is then expanded over its 2^dead completions, so the report still
-covers all 2^(n*n) relations.
+that is an observation, so the exact check stays.  The walk returns only
+the live masks under which the statistics are equidistributed.
 
 The predicate side is generated once per sweep by bit arithmetic, so no
 swept relation is built or tested and a mask's predicate is a set lookup.
@@ -52,18 +51,19 @@ multiplicity 1 gives the essentially bipartitional relations.  The sorting
 conditions force runs of consecutive letters, largest first, each before
 the last of one letter or of two whose larger has multiplicity 1 (see
 _sorting_masks), plus any loops on letters of multiplicity at most 1.  The
-masks are grouped by their live part, so _sweep_worker expands a live
-mask's verdict from its own group alone.
+two routes meet once, in the caller, over all 2^(n*n) relations: an
+accepted mask whose live part the walk did not return disagrees, and so
+does each completion (with any dead bits) of a returned mask not accepted.
 
 The copy-label-max enumeration and the sweeps share one sharded path,
 _run_sharded: the work is cut into contiguous ranges (of class ranks for a
 distribution, of Gray-code ranks for a sweep), one per worker process and
 at most one per CPU, and a single range runs in the calling process.
 Arguments are validated in the caller, and a job carries the validated
-relation and class themselves, or for a sweep the moment form, the
-profiles and the grouped predicate set, not a description for each worker
-to rebuild, so the workers call the unchecked sort and no worker streams
-the class again.
+relation and class themselves, or for a sweep the moment form, the live
+bits and the profiles (never the predicate set), not a description for
+each worker to rebuild, so the workers call the unchecked sort and no
+worker streams the class again.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ from .errors import AlphabetMismatch, InvalidArguments, UniverseTooLarge
 from .qseries import QPolynomial
 from .relations import (
     Relation,
+    _check_alphabet_size,
     _check_same_alphabet,
     natural_order,
     relation_to_json_dict,
@@ -355,8 +356,11 @@ def equidistributed(
 
 
 def relation_from_mask(n: int, mask: int) -> Relation:
-    """Relation for a bitmask over the n*n ordered pairs, row-major: bit
-    (x-1)*n + (y-1) holds the pair (x, y)."""
+    """Relation for a bitmask in [0, 2^(n*n)) over the n*n ordered pairs,
+    row-major: bit (x-1)*n + (y-1) holds the pair (x, y)."""
+    _check_alphabet_size(n)
+    if type(mask) is not int or not 0 <= mask < 1 << n * n:
+        raise InvalidArguments(f"mask {mask!r} is not an integer in [0, 2^{n * n})")
     edges = [(b // n + 1, b % n + 1) for b in range(n * n) if mask >> b & 1]
     return Relation(n, frozenset(edges))
 
@@ -367,6 +371,7 @@ def relation_to_mask(relation: Relation) -> int:
 
 
 def _check_alphabet(n: int, max_alphabet: int) -> None:
+    _check_alphabet_size(n)
     if n > max_alphabet:
         raise UniverseTooLarge(
             f"alphabet {n} sweeps 2^{n * n} relations; "
@@ -377,8 +382,8 @@ def _check_alphabet(n: int, max_alphabet: int) -> None:
 def relation_universe(
     n: int, max_alphabet: int = DEFAULT_MAX_ALPHABET
 ) -> Iterator[Relation]:
-    """All 2^(n*n) relations on 1..n in mask order; the alphabet cap is
-    checked at the call, before anything is iterated."""
+    """All 2^(n*n) relations on 1..n in mask order; the alphabet size and
+    cap are checked at the call, before anything is iterated."""
     _check_alphabet(n, max_alphabet)
     return (relation_from_mask(n, mask) for mask in range(1 << (n * n)))
 
@@ -622,39 +627,24 @@ def _histogram(
     return histogram
 
 
-def _sweep_worker(job) -> list[tuple[int, bool, bool]]:
-    """Disagreements among the relations whose live part is at Gray-code
-    ranks [start, stop) of the live bits.
+def _sweep_worker(job) -> list[int]:
+    """The live masks at Gray-code ranks [start, stop) of the live bits under
+    which the statistics are equidistributed over the class.
 
-    Each live mask gets one verdict: a nonzero second-moment form (see
-    _moment_form and _moment_walk) settles that the statistics are not
-    equidistributed; where it vanishes, the exact check sums each distinct
-    profile over the mask's live bits and compares the histograms.  A dead
-    bit changes no profile sum, so the verdict holds for all the mask's
-    completions (the mask with any subset of the dead bits added).  The
-    predicate side is the generated set of masks it accepts, grouped by
-    live part: if the statistics differ, the disagreements are the accepted
-    completions; if they agree, the completions not accepted.
+    A nonzero second-moment form (see _moment_form and _moment_walk)
+    settles that they are not; where it vanishes, the exact check sums each
+    distinct profile over the mask's live bits and compares the histograms.
     """
-    form, live, stats, completions, accepted, start, stop = job
-    flips = [1 << b for b in live]
-    found = []
+    form, live, stats, start, stop = job
+    equal = []
     for mask, gap in _moment_walk(form, live, start, stop):
-        equal = not gap
-        if equal:
-            bits = [i for i, flip in enumerate(flips) if mask & flip]
-            first, *rest = (_histogram(*stat, bits) for stat in stats)
-            equal = all(histogram == first for histogram in rest)
-        hits = accepted.get(mask, ())
-        if equal:
-            found.extend(
-                (mask | dead, False, True)
-                for dead in completions
-                if mask | dead not in hits
-            )
-        else:
-            found.extend((hit, True, False) for hit in hits)
-    return found
+        if gap:
+            continue
+        bits = [i for i, b in enumerate(live) if mask >> b & 1]
+        first, *rest = (_histogram(*stat, bits) for stat in stats)
+        if all(histogram == first for histogram in rest):
+            equal.append(mask)
+    return equal
 
 
 def _verify(
@@ -691,24 +681,30 @@ def _verify(
         Counter({tuple(p[b] for b in live): c for p, c in tally.items()})
         for tally in tallies
     ]
-    live_mask = sum(1 << b for b in live)
-    grouped: dict[int, set[int]] = {}
-    for mask in accepted:
-        grouped.setdefault(mask & live_mask, set()).add(mask)
-    completions = _submasks(b for b in range(n * n) if not live_mask >> b & 1)
     job = (
         _moment_form(tallies, len(live)),
         live,
         [(list(zip(*tally)), list(tally.values())) for tally in tallies],
-        completions,
-        grouped,
     )
     parts = _run_sharded(_sweep_worker, job, 1 << len(live), jobs)
-    found = sorted(chain.from_iterable(parts))
+    equal = set(chain.from_iterable(parts))
+    # a dead bit changes no statistic, so a live mask's verdict holds for
+    # each of its completions: the mask with any subset of the dead bits
+    live_mask = sum(1 << b for b in live)
+    completions = _submasks(b for b in range(n * n) if not live_mask >> b & 1)
+    found = sorted(
+        [(mask, True, False) for mask in accepted if (mask & live_mask) not in equal]
+        + [
+            (mask | dead, False, True)
+            for mask in equal
+            for dead in completions
+            if mask | dead not in accepted
+        ]
+    )
     elapsed = time.perf_counter() - started
     disagreements = tuple(
-        Disagreement(relation_from_mask(n, mask), predicate, equal)
-        for mask, predicate, equal in found
+        Disagreement(relation_from_mask(n, mask), predicate, holds)
+        for mask, predicate, holds in found
     )
     return VerificationReport(
         check, n, alpha, tie_rule, 1 << (n * n), disagreements, elapsed

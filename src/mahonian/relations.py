@@ -27,6 +27,12 @@ from .words import MultiplicityVector
 Pair = tuple[int, int]
 
 
+def _check_alphabet_size(n) -> None:
+    # type() rather than isinstance(): bool is an int subclass
+    if type(n) is not int or n < 1:
+        raise InvalidArguments(f"alphabet size must be an integer >= 1, got {n!r}")
+
+
 @dataclass(frozen=True)
 class Relation:
     """A set of directed edges over the alphabet 1..n (loops allowed)."""
@@ -35,9 +41,7 @@ class Relation:
     edges: frozenset[Pair]
 
     def __post_init__(self):
-        # type() rather than isinstance(): bool is an int subclass
-        if type(self.n) is not int or self.n < 1:
-            raise InvalidArguments(f"alphabet size must be an integer >= 1, got {self.n!r}")
+        _check_alphabet_size(self.n)
         if not isinstance(self.edges, frozenset):
             try:
                 object.__setattr__(self, "edges", frozenset(self.edges))

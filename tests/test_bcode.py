@@ -28,7 +28,7 @@ from mahonian import (
     rearrangement_class,
     validate_code,
 )
-from mahonian.bcode import _PLAN_CACHE_SIZE, _block_structure, _encode_with_rule
+from mahonian.bcode import _PLAN_CACHE_SIZE, _block_structure
 
 CHAIN = from_ordered_bipartition(
     OrderedBipartition(
@@ -268,26 +268,54 @@ def test_code_json_round_trip():
         BCode.from_json_dict({"partitions": [[1]]})
 
 
+def encode_under_rule(relation, word, rule):
+    """bcode_encode's block bookkeeping over a naive selection sort that moves
+    the copy the rule picks: the rightmost, the leftmost, or under
+    copy-label-max the one with the largest original position."""
+    _, info, block_of, _ = _block_structure(relation, word.alpha)
+    work = [(x, label) for label, x in enumerate(word.letters)]
+    contributions = [[] for _ in info]
+    markers = [0] * len(info)
+    for i in range(len(work) - 1, -1, -1):
+        largest = max(x for x, _ in work[: i + 1])
+        copies = [h for h in range(i + 1) if work[h][0] == largest]
+        if rule == TIE_RIGHTMOST:
+            j = copies[-1]
+        elif rule == TIE_LEFTMOST:
+            j = copies[0]
+        else:
+            j = max(copies, key=lambda h: work[h][1])
+        b = block_of[largest]
+        if not contributions[b] and info[b].two_letter:
+            subword = [x for x, _ in work if block_of[x] == b]
+            markers[b] = subword.index(info[b].letters[-1]) + 1
+        passed = work[j + 1 : i + 1]
+        contributions[b].append(sum((largest, y) in relation for y, _ in passed))
+        work[j], work[i] = work[i], work[j]
+    partitions = tuple(tuple(sorted(c, reverse=True)) for c in contributions)
+    return BCode(partitions, tuple(markers))
+
+
 def test_other_tie_rules_break_the_bijection():
     """Frozen counterexamples from the rule sweep: with copy-label-max or
     leftmost driving the sort, decode(encode(w)) lands on a different word."""
     nat3 = natural_order(3)
     a121 = MultiplicityVector((1, 2, 1))
     word = make_word((3, 1, 2, 2), a121)
-    code = _encode_with_rule(nat3, word, TIE_COPY_LABEL_MAX)
+    code = encode_under_rule(nat3, word, TIE_COPY_LABEL_MAX)
     assert code.partitions == ((3,), (1, 1), (0,))
     assert bcode_decode(nat3, a121, code).letters == (3, 2, 1, 2)
 
     u = Relation.from_pairs(2, [(2, 1)])
     a12 = MultiplicityVector((1, 2))
     word = make_word((2, 1, 2), a12)
-    code = _encode_with_rule(u, word, TIE_LEFTMOST)
+    code = encode_under_rule(u, word, TIE_LEFTMOST)
     assert code.partitions == ((1, 1), (0,))
     assert bcode_decode(u, a12, code).letters == (2, 2, 1)
 
     # rightmost is the rule the decoder inverts
     for relation, alpha in small_cases():
         for w in rearrangement_class(alpha):
-            assert _encode_with_rule(relation, w, TIE_RIGHTMOST) == bcode_encode(
+            assert encode_under_rule(relation, w, TIE_RIGHTMOST) == bcode_encode(
                 relation, w
             )

@@ -1,8 +1,11 @@
 """End-to-end runs of the command line, through run_cli."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -397,3 +400,54 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "5\n"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_block(heading, fence):
+    """The first fenced block after the README heading, as lines."""
+    text = README.read_text()
+    start = text.index(fence + "\n", text.index(heading)) + len(fence) + 1
+    return text[start : text.index("```", start)].splitlines()
+
+
+def readme_examples():
+    """(argv, expected stdout) for each `$ mahonian ...` example: a trailing
+    backslash continues the command, and an output line starting with `+`
+    continues the polynomial wrapped onto the line before."""
+    examples = []
+    for line in readme_block("## Command line", "```"):
+        if line.startswith("$ "):
+            examples.append([line[2:], []])
+        elif examples[-1][0].endswith("\\"):
+            examples[-1][0] = examples[-1][0][:-1] + line
+        elif line.startswith("+ "):
+            examples[-1][1][-1] += " " + line
+        elif line:
+            examples[-1][1].append(line)
+    return [
+        pytest.param(
+            shlex.split(command)[1:], output, id=" ".join(command.split()[1:3])
+        )
+        for command, output in examples
+    ]
+
+
+def masked(text):
+    return re.sub(r"elapsed: [0-9.]+s", "elapsed: <t>", text)
+
+
+@pytest.mark.parametrize("argv, output", readme_examples())
+def test_readme_command_examples(capsys, argv, output):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert masked(out) == masked("\n".join(output) + "\n")
+
+
+def test_readme_library_snippet(capsys):
+    """The snippet runs and prints the values its comments give."""
+    lines = readme_block("## Library", "```python")
+    exec("\n".join(lines), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [line.split("# ")[1] for line in lines if "print(" in line]

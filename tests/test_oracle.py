@@ -299,13 +299,28 @@ def test_relation_mask_round_trip():
     assert relation_from_mask(2, 0b0100).edges == frozenset({(2, 1)})
 
 
+@pytest.mark.parametrize(
+    "mask",
+    [16, -1, 1.5, True],
+    ids=["past-the-top", "negative", "float", "bool"],
+)
+def test_relation_from_mask_rejects_bad_masks(mask):
+    """Two letters have masks 0..15 only: a mask past the top is not read as
+    the empty relation, nor -1 as the full one, and neither a float nor a
+    bool is taken for an integer mask."""
+    with pytest.raises(InvalidArguments, match="is not an integer in"):
+        relation_from_mask(2, mask)
+
+
 def test_relation_universe_size_and_cap():
     assert len(list(relation_universe(2))) == 16
     with pytest.raises(UniverseTooLarge):
         list(relation_universe(4))
-    # the cap fails at the call, not at the first next()
+    # the cap and the alphabet size fail at the call, not at the first next()
     with pytest.raises(UniverseTooLarge):
         relation_universe(9)
+    with pytest.raises(InvalidArguments):
+        relation_universe(0)
     assert len(list(relation_universe(4, max_alphabet=4))) == 65536
 
 
@@ -384,6 +399,9 @@ def test_verify_sharded_matches_serial():
 def test_verify_guards():
     with pytest.raises(UniverseTooLarge):
         verify_theorem1(4, MultiplicityVector((1, 1, 1, 1)))
+    # True equals alpha.n == 1, but is no alphabet size
+    with pytest.raises(InvalidArguments):
+        verify_theorem1(True, MultiplicityVector((1,)))
     with pytest.raises(AlphabetMismatch):
         verify_theorem1(2, MultiplicityVector((1, 1, 1)))
     with pytest.raises(ClassTooLarge):
@@ -518,6 +536,85 @@ def test_exact_check_alone_matches_the_per_relation_route(monkeypatch, counts):
     assert as_rows(verify_theorem1(n, alpha)) == expected["thm1"]
     for rule in TIE_RULES:
         assert as_rows(verify_theorem2(n, alpha, tie_rule=rule)) == expected[rule]
+
+
+def captured_sweep(monkeypatch, counts, rule):
+    """The job and the rank count that the sweep of the class hands to
+    _run_sharded: Theorem 1 when rule is None, else Theorem 2 under it."""
+    calls = []
+    real = oracle._run_sharded
+
+    def capture(worker, job, count, jobs):
+        calls.append((worker, job, count))
+        return real(worker, job, count, jobs)
+
+    monkeypatch.setattr(oracle, "_run_sharded", capture)
+    n, alpha = len(counts), MultiplicityVector(counts)
+    if rule is None:
+        verify_theorem1(n, alpha)
+    else:
+        verify_theorem2(n, alpha, tie_rule=rule)
+    [(worker, job, count)] = calls
+    assert worker is oracle._sweep_worker
+    return job, count
+
+
+SWEEP_CASES = [
+    (counts, rule)
+    for counts in [(1, 0), (2, 1), (1, 1, 2), (2, 2, 2)]
+    for rule in (None, *TIE_RULES)
+]
+
+
+@pytest.mark.parametrize("counts, rule", SWEEP_CASES, ids=str)
+def test_sweep_worker_returns_the_equidistributed_live_masks(monkeypatch, counts, rule):
+    """Over all Gray ranks, or over two ranges joined, the worker returns
+    exactly the masks of the live bits (those some word's profile reads)
+    under which the profile-summed histograms agree, each once."""
+    n, alpha = len(counts), MultiplicityVector(counts)
+    builders = [inversion_profile, major_profile]
+    if rule is not None:
+        builders.append(partial(sorting_profile, tie_rule=rule))
+    profiles = [
+        [build(n, word.letters) for word in rearrangement_class(alpha)]
+        for build in builders
+    ]
+    live = [b for b in range(n * n) if any(p[b] for rows in profiles for p in rows)]
+    expected = []
+    for chosen in itertools.product((0, 1), repeat=len(live)):
+        bits = [b for b, bit in zip(live, chosen) if bit]
+        first, *rest = (
+            Counter(sum(p[b] for b in bits) for p in rows) for rows in profiles
+        )
+        if all(histogram == first for histogram in rest):
+            expected.append(sum(1 << b for b in bits))
+
+    job, count = captured_sweep(monkeypatch, counts, rule)
+    assert job[1] == live and count == 1 << len(live)
+    whole = oracle._sweep_worker(job + (0, count))
+    assert sorted(whole) == sorted(expected)
+    for cut in (count // 3, count // 2):
+        split = oracle._sweep_worker(job + (0, cut)) + oracle._sweep_worker(
+            job + (cut, count)
+        )
+        assert sorted(split) == sorted(expected)
+
+
+@pytest.mark.parametrize("rule", [None, TIE_RIGHTMOST], ids=str)
+def test_sweep_job_carries_no_predicate_set(monkeypatch, rule):
+    """The job each worker receives holds the moment form, the live bits and
+    the profiles only: no set or dict, so no predicate set or grouping of it
+    is pickled into the workers."""
+
+    def containers(value):
+        if isinstance(value, (set, frozenset, dict)):
+            yield type(value)
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from containers(item)
+
+    job, _ = captured_sweep(monkeypatch, (2, 1, 2), rule)
+    assert list(containers(job)) == []
 
 
 def test_jobs_below_one_are_rejected():
