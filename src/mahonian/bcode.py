@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConditionsNotSatisfied, InvalidCode
-from .relations import OrderedBipartition, Relation, _sorting_bipartition
+from .relations import Relation, _sorting_bipartition
 from .statistics import TIE_RIGHTMOST, _contribution, _sort_moves
 from .words import MultiplicityVector, Word, infer_alpha, make_word
 
@@ -96,11 +96,10 @@ class _BlockInfo:
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _block_structure(
     relation: Relation, alpha: MultiplicityVector
-) -> tuple[OrderedBipartition, tuple[_BlockInfo, ...], tuple[int, ...], tuple[int, ...]]:
-    """The class's code plan: its bipartition, one _BlockInfo per block, the
-    block of each letter (indexed by letter) and the suffix masses.  Only
-    successes are cached, so a failing class raises, with fresh reasons, on
-    every call."""
+) -> tuple[tuple[_BlockInfo, ...], tuple[int, ...], tuple[int, ...]]:
+    """The class's code plan: one _BlockInfo per block, the block of each
+    letter (indexed by letter) and the suffix masses.  Only successes are
+    cached, so a failing class raises, with fresh reasons, on every call."""
     bp, reasons = _sorting_bipartition(relation, alpha)
     ok = not reasons
     for x in range(1, alpha.n + 1):
@@ -131,7 +130,7 @@ def _block_structure(
         info.append(_BlockInfo(letters, len(copies), len(letters) == 2, copies))
         for x in letters:
             block_of[x] = j
-    return bp, tuple(info), tuple(block_of), _suffix_masses(info)
+    return tuple(info), tuple(block_of), _suffix_masses(info)
 
 
 def _suffix_masses(info: list[_BlockInfo]) -> tuple[int, ...]:
@@ -149,7 +148,7 @@ def bcode_encode(relation: Relation, word) -> BCode:
     else:
         letters = tuple(word)
         alpha = infer_alpha(letters, relation.n)
-    _, info, block_of, _ = _block_structure(relation, alpha)
+    info, block_of, _ = _block_structure(relation, alpha)
 
     contributions: list[list[int]] = [[] for _ in info]
     markers = [0] * len(info)
@@ -173,7 +172,7 @@ def validate_code(relation: Relation, alpha: MultiplicityVector, code: BCode) ->
     the class: partition j has one part per copy in block j, nonincreasing,
     parts at most the later blocks' total multiplicity; markers are 0 for
     one-letter blocks and a copy position for two-letter blocks."""
-    _, info, _, suffix = _block_structure(relation, alpha)
+    info, _, suffix = _block_structure(relation, alpha)
     _check_code(info, suffix, code)
 
 
@@ -225,7 +224,7 @@ def bcode_decode(relation: Relation, alpha: MultiplicityVector, code: BCode) -> 
     move the small copies, and the top letter finally moves left by its part
     plus the number of copies that sat right of it, undoing its head start.
     """
-    _, info, _, suffix = _block_structure(relation, alpha)
+    info, _, suffix = _block_structure(relation, alpha)
     _check_code(info, suffix, code)
     word: list[int] = []
     for j in range(len(info) - 1, -1, -1):
@@ -257,7 +256,7 @@ def _bounded_partitions(length: int, bound: int):
 
 def enumerate_codes(relation: Relation, alpha: MultiplicityVector):
     """All valid codes for the class, in a fixed deterministic order."""
-    _, info, _, suffix = _block_structure(relation, alpha)
+    info, _, suffix = _block_structure(relation, alpha)
     part_choices = [
         tuple(_bounded_partitions(block.mass, bound))
         for block, bound in zip(info, suffix)
@@ -273,7 +272,7 @@ def enumerate_codes(relation: Relation, alpha: MultiplicityVector):
 
 def code_count(relation: Relation, alpha: MultiplicityVector) -> int:
     """Number of valid codes; matches the size of the rearrangement class."""
-    _, info, _, suffix = _block_structure(relation, alpha)
+    info, _, suffix = _block_structure(relation, alpha)
     total = 1
     for block, bound in zip(info, suffix):
         total *= math.comb(bound + block.mass, block.mass)

@@ -8,7 +8,9 @@ steps from the sorted word reach every word of the class once, adding up
 its index on the way, so no word is sorted.  Under copy-label-max with a
 repeated letter the mover depends on the copies' original positions, which
 a partly undone word does not record, so that one case sorts every word of
-the class.
+the class.  All three routes pack a distribution into one integer, a lane
+of size.bit_length() bits per power of q for a class of size words: no
+count they add up exceeds the class size, so no lane overflows.
 
 The verifiers cover every relation on the alphabet (all 2^(n*n) bitmasks)
 and compare two routes, the structural predicate and equidistribution over
@@ -100,6 +102,7 @@ from .words import (
     DEFAULT_MAX_CLASS,
     MultiplicityVector,
     _check_class,
+    _check_int,
     class_size,
     rearrangement_class,
     rearrangement_class_range,
@@ -133,6 +136,7 @@ def _resolve(stat: str, alpha: MultiplicityVector, relation) -> tuple[str, Relat
 
 
 def _check_jobs(jobs: int) -> None:
+    _check_int("jobs", jobs)
     if jobs < 1:
         raise InvalidArguments(f"jobs must be at least 1, got {jobs}")
 
@@ -160,45 +164,25 @@ def _run_sharded(worker, job: tuple, count: int, jobs: int) -> list:
         return list(pool.map(worker, batches))
 
 
-def _add_shifted(polys: dict, state, low: int, coeffs: list[int]) -> None:
-    """Add q^low times the coefficients into polys[state].
+def _transfer_polynomial(base: str, edges, counts: tuple[int, ...], width: int) -> int:
+    """Distribution of inv or maj over the class, packed (see distribution),
+    by a transfer-matrix DP that places letters without visiting a word.
 
-    A polynomial is kept as its lowest exponent and the dense coefficients
-    from there, so a long word's early shifts cost no leading zeros.
-    """
-    held = polys.get(state)
-    if held is None:
-        polys[state] = (low, list(coeffs))
-        return
-    held_low, held_coeffs = held
-    if low < held_low:
-        held_coeffs[:0] = repeat(0, held_low - low)
-        held_low = low
-        polys[state] = (low, held_coeffs)
-    start = low - held_low
-    end = start + len(coeffs)
-    if len(held_coeffs) < end:
-        held_coeffs.extend(repeat(0, end - len(held_coeffs)))
-    held_coeffs[start:end] = map(add, held_coeffs[start:end], coeffs)
-
-
-def _transfer_polynomial(base: str, edges, counts: tuple[int, ...]) -> QPolynomial:
-    """Distribution of inv or maj over the class, by a transfer-matrix DP
-    that builds the words letter by letter without visiting one.
-
-    Layer k holds, for each state, the polynomial of the statistic over the
-    prefixes of length k that lead to it.  A state is the residual
+    Layer k holds, for each state, the packed polynomial of the statistic
+    over the prefixes of length k that lead to it.  A state is the residual
     multiplicity vector, and for maj also the last letter placed (0 before
     the first).  Placing x adds to inv the letters y with (x, y) in the
     relation still to come after it, which the residual vector counts; it
     adds to maj the k letters already placed when (last, x) is a pair.
+    Distinct prefixes of one length extend to disjoint sets of words, so no
+    partial count exceeds the class size and no lane overflows.
     """
     n = len(counts)
     after = [[y for y in range(n) if (x + 1, y + 1) in edges] for x in range(n)]
-    layer = {(counts, 0): (0, [1])}
+    layer = {(counts, 0): 1}
     for placed in range(sum(counts)):
         following: dict = {}
-        for (residual, last), (low, coeffs) in layer.items():
+        for (residual, last), packed in layer.items():
             for x, left in enumerate(residual):
                 if not left:
                     continue
@@ -209,27 +193,14 @@ def _transfer_polynomial(base: str, edges, counts: tuple[int, ...]) -> QPolynomi
                 else:
                     shift = placed if (last, x + 1) in edges else 0
                     state = (rest, x + 1)
-                _add_shifted(following, state, low + shift, coeffs)
+                following[state] = following.get(state, 0) + (packed << shift * width)
         layer = following
-    total: dict = {}
-    for low, coeffs in layer.values():
-        _add_shifted(total, None, low, coeffs)
-    low, coeffs = total[None]
-    return QPolynomial([0] * low + coeffs)
+    return sum(layer.values())
 
 
-def _histogram_to_polynomial(histogram: dict[int, int]) -> QPolynomial:
-    if not histogram:
-        return QPolynomial.zero()
-    coeffs = [0] * (max(histogram) + 1)
-    for value, count in histogram.items():
-        coeffs[value] = count
-    return QPolynomial(coeffs)
-
-
-def _unsort_histogram(edges, tie_rule: str, counts: tuple[int, ...]) -> dict[int, int]:
-    """Histogram of the sorting index over the class, by undoing the
-    selection sort from the sorted word instead of sorting every word.
+def _unsort_histogram(edges, tie_rule: str, counts: tuple[int, ...], width: int) -> int:
+    """Sorting-index distribution over the class, packed (see distribution),
+    by undoing the selection sort from the sorted word, sorting no word.
 
     Step t puts back x, the t-th smallest letter (counting from 0), into a
     prefix p of length t that holds the t letters below it: appended
@@ -238,31 +209,30 @@ def _unsort_histogram(edges, tie_rule: str, counts: tuple[int, ...]) -> dict[int
     in U}.  The tie rule says which j the sort picks: under rightmost
     p[j..t-1] holds no x, and under leftmost p[0..j-1] holds none and
     appending needs p to hold none.  The sort is deterministic, so every
-    word of the class is reached once, along the moves of its own sort.
-    Without repeated letters every j is allowed and the rules agree, so any
-    rule other than leftmost is read as rightmost.
+    word of the class is reached once, along the moves of its own sort, and
+    no lane counts past the class size.  Without repeated letters every j
+    is allowed and the rules agree, so any rule other than leftmost is read
+    as rightmost.
 
     The prefixes sit on an explicit stack (the one word of (600) is 600
-    levels deep), and the last level adds to the histogram without building
-    the words.
+    levels deep).  A pair of U weighs a lane's width, so values count bits
+    and the last level adds 1 << value + gain without building the words.
     """
     letters = [x for x, a in enumerate(counts, 1) for _ in range(a)]
     if not letters:
-        return {0: 1}
+        return 1
     letter_range = range(len(counts) + 1)
-    related = [[(x, y) in edges for y in letter_range] for x in letter_range]
+    related = [[width * ((x, y) in edges) for y in letter_range] for x in letter_range]
     last = len(letters) - 1
     leftmost = tie_rule == TIE_LEFTMOST
-    histogram: dict[int, int] = {}
-    stack = [([], 0)]
+    packed, stack = 0, [([], 0)]
     while stack:
         prefix, value = stack.pop()
         t = len(prefix)
         x = letters[t]
         row = related[x]
-        moves = []  # (j, what the step added)
-        if leftmost:
-            gain = sum(map(row.__getitem__, prefix))
+        if leftmost:  # moves: (j, what the step added)
+            gain, moves = sum(map(row.__getitem__, prefix)), []
             for j, y in enumerate(prefix):
                 moves.append((j, gain))
                 if y == x:
@@ -271,8 +241,7 @@ def _unsort_histogram(edges, tie_rule: str, counts: tuple[int, ...]) -> dict[int
             else:
                 moves.append((t, 0))
         else:
-            gain = 0
-            moves.append((t, 0))
+            gain, moves = 0, [(t, 0)]
             for j in range(t - 1, -1, -1):
                 y = prefix[j]
                 if y == x:
@@ -281,22 +250,22 @@ def _unsort_histogram(edges, tie_rule: str, counts: tuple[int, ...]) -> dict[int
                 moves.append((j, gain))
         if t == last:
             for _, gain in moves:
-                histogram[value + gain] = histogram.get(value + gain, 0) + 1
+                packed += 1 << value + gain
             continue
         for j, gain in moves:
             child = prefix + [x]
             child[j], child[t] = x, child[j]
             stack.append((child, value + gain))
-    return histogram
+    return packed
 
 
-def _sorting_worker(job) -> dict[int, int]:
-    edges, tie_rule, alpha, start, stop = job
-    histogram: dict[int, int] = {}
-    for word in rearrangement_class_range(alpha, start, stop):
-        value = _sorting_index(edges, word.letters, tie_rule)
-        histogram[value] = histogram.get(value, 0) + 1
-    return histogram
+def _sorting_worker(job) -> int:
+    # a shard's counts are at most the class's, so they fit its lanes
+    edges, tie_rule, alpha, width, start, stop = job
+    return sum(
+        1 << _sorting_index(edges, word.letters, tie_rule) * width
+        for word in rearrangement_class_range(alpha, start, stop)
+    )
 
 
 def distribution(
@@ -315,23 +284,28 @@ def distribution(
     sort.  Only sor under copy-label-max on a class with a repeated letter
     enumerates the class, in up to jobs worker processes.  The class cap
     applies to all three.
+
+    Every route returns the polynomial packed into one integer, lane k of
+    size.bit_length() bits holding the coefficient of q^k, so adding a
+    shifted polynomial or a shard is one integer add.  No coefficient, nor
+    any partial count a route adds up, exceeds the class size, so no lane
+    overflows.  The lanes are read off the bit string once, here: a shift
+    per lane would copy the whole integer each time.
     """
     _check_jobs(jobs)
     size = _check_class(alpha, max_class)
+    width = size.bit_length()
     base, relation = _resolve(stat, alpha, relation)
     _check_rule(tie_rule)
     if base != "sor":
-        return _transfer_polynomial(base, relation.edges, alpha.counts)
-    if tie_rule != TIE_COPY_LABEL_MAX or max(alpha.counts) <= 1:
-        return _histogram_to_polynomial(
-            _unsort_histogram(relation.edges, tie_rule, alpha.counts)
-        )
-    job = (relation.edges, tie_rule, alpha)
-    histogram: dict[int, int] = {}
-    for part in _run_sharded(_sorting_worker, job, size, jobs):
-        for value, count in part.items():
-            histogram[value] = histogram.get(value, 0) + count
-    return _histogram_to_polynomial(histogram)
+        packed = _transfer_polynomial(base, relation.edges, alpha.counts, width)
+    elif tie_rule != TIE_COPY_LABEL_MAX or max(alpha.counts) <= 1:
+        packed = _unsort_histogram(relation.edges, tie_rule, alpha.counts, width)
+    else:
+        job = (relation.edges, tie_rule, alpha, width)
+        packed = sum(_run_sharded(_sorting_worker, job, size, jobs))
+    bits = bin(packed)[2:].zfill(-(-packed.bit_length() // width) * width)
+    return QPolynomial([int(bits[i - width : i], 2) for i in range(len(bits), 0, -width)])
 
 
 def equidistributed(
@@ -372,6 +346,7 @@ def relation_to_mask(relation: Relation) -> int:
 
 def _check_alphabet(n: int, max_alphabet: int) -> None:
     _check_alphabet_size(n)
+    _check_int("max_alphabet", max_alphabet)
     if n > max_alphabet:
         raise UniverseTooLarge(
             f"alphabet {n} sweeps 2^{n * n} relations; "

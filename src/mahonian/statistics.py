@@ -44,7 +44,7 @@ from typing import Sequence
 
 from .errors import AlphabetMismatch, InvalidArguments, SizeCapExceeded
 from .relations import Relation, _check_same_alphabet
-from .words import MultiplicityVector, Word
+from .words import MultiplicityVector, Word, _check_int
 
 TIE_COPY_LABEL_MAX = "copy-label-max"
 TIE_LEFTMOST = "leftmost"
@@ -64,9 +64,9 @@ def _letters_of(word) -> tuple[int, ...]:
 def _checked_letters(n: int, word) -> tuple[int, ...]:
     letters = _letters_of(word)
     for x in letters:
-        if not 1 <= x <= n:
+        if type(x) is not int or not 1 <= x <= n:
             raise AlphabetMismatch(
-                f"letter {x} outside the relation's alphabet 1..{n}"
+                f"letter {x!r} outside the relation's alphabet 1..{n}"
             )
     return letters
 
@@ -277,6 +277,7 @@ def maximal_chain_word(
     hence the size cap.
     """
     _check_same_alphabet(relation, alpha)
+    _check_int("max_total", max_total)
     if alpha.total > max_total:
         raise SizeCapExceeded(
             f"class mass {alpha.total} exceeds the chain-search cap {max_total}"

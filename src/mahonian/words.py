@@ -112,9 +112,17 @@ def class_size(alpha: MultiplicityVector) -> int:
     return size
 
 
+def _check_int(name: str, value) -> None:
+    # type() rather than isinstance(): bool is an int subclass
+    if type(value) is not int:
+        raise InvalidArguments(f"{name} must be an integer, got {value!r}")
+
+
 def _check_class(alpha: MultiplicityVector, max_class: int | None) -> int:
     """The class size, after raising ClassTooLarge when it exceeds max_class
     (None disables the cap)."""
+    if max_class is not None:
+        _check_int("max_class", max_class)
     size = class_size(alpha)
     if max_class is not None and size > max_class:
         raise ClassTooLarge(f"class has {size} words, cap is {max_class}")
@@ -155,8 +163,8 @@ def unrank_word(alpha: MultiplicityVector, index: int) -> Word:
     Used to partition the stream by index ranges for parallel consumers.
     """
     total = class_size(alpha)
-    if not 0 <= index < total:
-        raise InvalidArguments(f"index {index} outside 0..{total - 1}")
+    if type(index) is not int or not 0 <= index < total:
+        raise InvalidArguments(f"index {index!r} is not an integer in 0..{total - 1}")
     remaining = list(alpha.counts)
     length = alpha.total
     letters = []
@@ -228,6 +236,9 @@ def infer_alpha(letters: Sequence[int], n: int | None = None) -> MultiplicityVec
 
     With n omitted, the alphabet is 1..max(letters) (1 for the empty word).
     """
+    for x in letters:
+        if type(x) is not int:
+            raise LetterOutOfRange(f"letter {x!r} is not an integer")
     if n is None:
         n = max(letters) if letters else 1
     counts = [0] * n

@@ -272,7 +272,7 @@ def encode_under_rule(relation, word, rule):
     """bcode_encode's block bookkeeping over a naive selection sort that moves
     the copy the rule picks: the rightmost, the leftmost, or under
     copy-label-max the one with the largest original position."""
-    _, info, block_of, _ = _block_structure(relation, word.alpha)
+    info, block_of, _ = _block_structure(relation, word.alpha)
     work = [(x, label) for label, x in enumerate(word.letters)]
     contributions = [[] for _ in info]
     markers = [0] * len(info)

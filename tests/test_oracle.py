@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import itertools
+import math
 import time
 from collections import Counter
 from functools import partial
@@ -109,6 +110,18 @@ def test_distribution_respects_the_class_cap():
         distribution("inv", MultiplicityVector((2, 2)), max_class=5)
 
 
+@pytest.mark.parametrize("cap", [2.5, True], ids=["float", "bool"])
+def test_class_cap_must_be_an_integer(cap):
+    """A float or bool cap is neither compared with the class size nor
+    reported as "cap is True"; None still lifts the cap."""
+    alpha = MultiplicityVector((1, 1))
+    with pytest.raises(InvalidArguments, match="max_class must be an integer"):
+        distribution("inv", alpha, max_class=cap)
+    with pytest.raises(InvalidArguments, match="max_class must be an integer"):
+        verify_theorem1(2, alpha, max_class=cap)
+    assert distribution("inv", alpha, max_class=None)(1) == 2
+
+
 @pytest.fixture
 def pool_starts(monkeypatch):
     """A serial stand-in for the process pool on a 4-CPU machine; the list
@@ -213,9 +226,9 @@ def test_inv_maj_distributions_of_a_large_class():
 
 def test_inv_maj_distributions_of_a_long_word():
     """The one word of (600) under the loop has an inversion at each of its
-    179,700 pairs of positions and a descent at each position; the DP keeps
-    each state's lowest exponent, so the long run of shifts costs no
-    leading zeros and stays within a second."""
+    179,700 pairs of positions and a descent at each position.  Its class
+    has one word, so the packed polynomial has 1-bit lanes, and reading its
+    179,701 lanes off the bit string in one pass stays within a second."""
     alpha = MultiplicityVector((600,))
     u = Relation.from_pairs(1, [(1, 1)])
     for stat in ("inv-graphical", "maj-graphical"):
@@ -279,6 +292,33 @@ def test_sharded_distribution_matches_serial():
             for jobs in (1, 2):
                 got = distribution(stat, alpha, u, tie_rule=rule, jobs=jobs)
                 assert got == expected, (stat, rule, jobs)
+
+
+@pytest.mark.parametrize("counts", [(1, 1), (2, 1), (3, 1), (6, 1), (7, 1)], ids=str)
+def test_lanes_hold_a_whole_class(pool_starts, counts):
+    """Classes of 2, 3, 4, 7 and 8 words: a lane of size.bit_length() bits
+    holds the class size, which overflows a lane one bit narrower.  Under
+    the empty relation every word scores 0, and under the full one every
+    word has inv = maj = C(m, 2), so one lane holds the whole class on each
+    route: the DP, the undone sort under rightmost and leftmost, and the
+    copy-label-max enumeration in one shard and in two."""
+    alpha = MultiplicityVector(counts)
+    size = class_size(alpha)
+    empty, full = relation_from_mask(2, 0), relation_from_mask(2, 15)
+    constant = QPolynomial.monomial(0, size)
+    for stat in ("inv-graphical", "maj-graphical"):
+        assert distribution(stat, alpha, empty) == constant, stat
+        top = QPolynomial.monomial(math.comb(alpha.total, 2), size)
+        assert distribution(stat, alpha, full) == top, stat
+    for rule in (TIE_RIGHTMOST, TIE_LEFTMOST):
+        assert distribution("sor-graphical", alpha, empty, tie_rule=rule) == constant
+    for jobs in (1, 2):
+        pool_starts.clear()
+        got = distribution(
+            "sor-graphical", alpha, empty, tie_rule=TIE_COPY_LABEL_MAX, jobs=jobs
+        )
+        assert got == constant, jobs
+        assert pool_starts == ([2] if jobs == 2 and max(counts) > 1 else [])
 
 
 def test_equidistribution_examples():
@@ -626,6 +666,32 @@ def test_jobs_below_one_are_rejected():
             verify_theorem2(2, alpha, jobs=jobs)
         with pytest.raises(InvalidArguments):
             distribution("inv", alpha, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1.5, True], ids=["float", "bool"])
+def test_jobs_must_be_an_integer(jobs):
+    """A float or bool worker count fails at the call, on the sweeps and on
+    each distribution route, before any sharding."""
+    alpha = MultiplicityVector((2, 1))
+    calls = [
+        partial(verify_theorem1, 2, alpha),
+        partial(verify_theorem2, 2, alpha),
+        partial(distribution, "sor", alpha, tie_rule=TIE_COPY_LABEL_MAX),
+        partial(distribution, "inv", alpha),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArguments, match="jobs must be an integer"):
+            call(jobs=jobs)
+
+
+@pytest.mark.parametrize("cap", [2.5, True], ids=["float", "bool"])
+def test_alphabet_cap_must_be_an_integer(cap):
+    """max_alphabet=True would allow one letter and 2.5 two; both fail."""
+    alpha = MultiplicityVector((1,))
+    with pytest.raises(InvalidArguments, match="max_alphabet must be an integer"):
+        verify_theorem1(1, alpha, max_alphabet=cap)
+    with pytest.raises(InvalidArguments, match="max_alphabet must be an integer"):
+        relation_universe(1, max_alphabet=cap)
 
 
 def test_worker_count_is_clamped(monkeypatch, pool_starts):

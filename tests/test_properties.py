@@ -53,6 +53,7 @@ from mahonian import (
     unrank_word,
 )
 from mahonian.bcode import _block_structure
+from mahonian.relations import _sorting_bipartition
 from mahonian.statistics import inversion_profile, major_profile, sorting_profile
 
 
@@ -293,7 +294,8 @@ def test_cached_plan_matches_a_fresh_derivation(case):
     plan = _block_structure(relation, alpha)
     assert plan == _block_structure.__wrapped__(relation, alpha)
     assert _block_structure(relation, alpha) is plan
-    bp, info, block_of, suffix = plan
+    info, block_of, suffix = plan
+    bp, _ = _sorting_bipartition(relation, alpha)
     assert all(x in bp.blocks[block_of[x]] for x in range(1, alpha.n + 1))
     masses = [block.mass for block in info]
     assert list(suffix) == [sum(masses[j + 1:]) for j in range(len(info))]

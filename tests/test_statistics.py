@@ -186,6 +186,15 @@ def test_word_must_fit_the_relation_alphabet():
         )
 
 
+@pytest.mark.parametrize("letters", [(2.0, 1), (True, 2)], ids=["float", "bool"])
+def test_letters_must_be_integers(letters):
+    """As in make_word, 2.0 is no letter and True is not read as 1."""
+    u = natural_order(2)
+    for kernel in (graphical_inversions, graphical_major_index, graphical_sorting_index):
+        with pytest.raises(AlphabetMismatch):
+            kernel(u, letters)
+
+
 def test_empty_and_singleton_words():
     u = natural_order(2)
     assert graphical_inversions(u, ()) == 0
@@ -224,3 +233,9 @@ def test_maximal_chain_word_size_cap():
         maximal_chain_word(natural_order(2), alpha)
     word = maximal_chain_word(natural_order(2), alpha, max_total=13)
     assert len(word) == 13
+
+
+@pytest.mark.parametrize("cap", [2.5, True], ids=["float", "bool"])
+def test_maximal_chain_word_cap_must_be_an_integer(cap):
+    with pytest.raises(InvalidArguments, match="max_total must be an integer"):
+        maximal_chain_word(natural_order(2), MultiplicityVector((1, 1)), max_total=cap)

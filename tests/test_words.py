@@ -82,6 +82,13 @@ def test_unrank_rejects_out_of_range():
         unrank_word(alpha, -1)
 
 
+@pytest.mark.parametrize("index", [0.5, True], ids=["float", "bool"])
+def test_unrank_needs_an_integer_index(index):
+    """0.5 is not read as the word 12, nor True as index 1."""
+    with pytest.raises(InvalidArguments, match="is not an integer in"):
+        unrank_word(MultiplicityVector((1, 1)), index)
+
+
 def test_range_is_a_slice_of_the_enumeration():
     alpha = MultiplicityVector((1, 2, 1))
     full = [w.letters for w in rearrangement_class(alpha)]
@@ -96,6 +103,12 @@ def test_class_cap_is_enforced_up_front():
         next(rearrangement_class(alpha, max_class=5))
     assert len(list(rearrangement_class(alpha, max_class=6))) == 6
     assert len(list(rearrangement_class(alpha, max_class=None))) == 6
+
+
+@pytest.mark.parametrize("cap", [2.5, True], ids=["float", "bool"])
+def test_class_cap_is_an_integer_or_none(cap):
+    with pytest.raises(InvalidArguments, match="max_class must be an integer"):
+        next(rearrangement_class(MultiplicityVector((2, 2)), max_class=cap))
 
 
 def test_make_word_validates_letters_and_counts():
@@ -168,3 +181,11 @@ def test_infer_alpha():
     assert infer_alpha(()).counts == (0,)
     with pytest.raises(LetterOutOfRange):
         infer_alpha((1, 4), n=3)
+
+
+@pytest.mark.parametrize("letter", [1.0, True], ids=["float", "bool"])
+def test_infer_alpha_needs_integer_letters(letter):
+    """As in make_word, a float is no letter and True is not read as 1."""
+    for n in (None, 2):
+        with pytest.raises(LetterOutOfRange, match="is not an integer"):
+            infer_alpha([letter], n)
