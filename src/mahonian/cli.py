@@ -354,23 +354,18 @@ def _cmd_bcode(args) -> int:
 
 def _cmd_verify(args) -> int:
     alpha = _resolve_alpha(args)
-    if args.theorem == "thm1":
-        report = verify_theorem1(
-            args.n,
-            alpha,
-            max_alphabet=args.max_alphabet,
-            max_class=args.max_class,
-            jobs=args.jobs,
-        )
-    else:
-        report = verify_theorem2(
-            args.n,
-            alpha,
-            tie_rule=_resolve_tie_rule(args),
-            max_alphabet=args.max_alphabet,
-            max_class=args.max_class,
-            jobs=args.jobs,
-        )
+    sweep = (
+        verify_theorem1
+        if args.theorem == "thm1"
+        else functools.partial(verify_theorem2, tie_rule=_resolve_tie_rule(args))
+    )
+    report = sweep(
+        args.n,
+        alpha,
+        max_alphabet=args.max_alphabet,
+        max_class=args.max_class,
+        jobs=args.jobs,
+    )
     _emit(args, report.render(), report.to_json_dict())
     return 0 if report.ok else 1
 

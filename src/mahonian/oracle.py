@@ -22,27 +22,28 @@ Both return a VerificationReport listing any relation where the two routes
 disagree.
 
 A sweep never reruns the per-word statistics per relation.  Every statistic
-is a sum over the relation's pairs of a per-word profile (see
-statistics.inversion_profile), so the sweep streams the class once, in the
-calling process, and keeps each distinct profile with its multiplicity.  A
-bit (pair) is dead when every distinct profile of every statistic swept is
-zero there, and live otherwise: a dead pair changes no statistic on any
-word, so relations that differ only in dead bits get the same verdict.
-Which bits are dead is read off the profiles, not assumed; on the classes
-tried they are the loops on letters of multiplicity at most 1 and every
-pair touching an absent letter.  The sweep walks the 2^live masks of the
-live bits only.  With u the relation's bit vector, a statistic's second
-moment over the class (the sum of its squared values) is u^T G u for the
-Gram matrix G of its profiles, so one quadratic form u^T D u, built from
-the differences of the Gram matrices on the live bits, vanishes whenever
-the statistics are equidistributed.  The walk visits the live masks in
-Gray-code order, where each step flips one live pair and moves the form
-with O(live) work.  A nonzero form proves that the distributions differ;
-only the masks where it vanishes get the exact check, which sums the
-profiles over the mask's live bits and compares the histograms.  Equal
-second moments have matched equidistribution on every class tried, but
-that is an observation, so the exact check stays.  The walk returns only
-the live masks under which the statistics are equidistributed.
+is a sum over the relation's pairs of a per-word profile (built by the
+private kernels of statistics.py), so the sweep streams the class once, in
+the calling process, and keeps each statistic as (columns, counts): one
+column per pair over its distinct profiles, and their multiplicities.  A
+bit (pair) is dead when every statistic's column is zero there, and live
+otherwise: a dead pair changes no statistic on any word, so relations that
+differ only in dead bits get the same verdict.  Which bits are dead is read
+off the profiles, not assumed; on the classes tried they are the loops on
+letters of multiplicity at most 1 and every pair touching an absent letter.
+The sweep keeps only the live columns, from the moment form to the exact
+check, and walks the 2^live masks.  With u the relation's bit vector, a
+statistic's second moment over the class (the sum of its squared values) is
+u^T G u for the Gram matrix G of its profiles, so one quadratic form
+u^T D u, built from the differences of the Gram matrices on the live bits,
+vanishes whenever the statistics are equidistributed.  The walk visits the
+live masks in Gray-code order, where each step flips one live pair and
+moves the form with O(live) work.  A nonzero form proves that the
+distributions differ; only the masks where it vanishes get the exact check,
+which sums the mask's live columns and compares the histograms.  Equal
+second moments have matched equidistribution on every class tried, but that
+is an observation, so the exact check stays.  The walk returns only the
+live masks under which the statistics are equidistributed.
 
 The predicate side is generated once per sweep by bit arithmetic, so no
 swept relation is built or tested and a mask's predicate is a set lookup.
@@ -63,7 +64,7 @@ distribution, of Gray-code ranks for a sweep), one per worker process and
 at most one per CPU, and a single range runs in the calling process.
 Arguments are validated in the caller, and a job carries the validated
 relation and class themselves, or for a sweep the moment form, the live
-bits and the profiles (never the predicate set), not a description for
+bits and the live columns (never the predicate set), not a description for
 each worker to rebuild, so the workers call the unchecked sort and no
 worker streams the class again.
 """
@@ -76,14 +77,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterator, Sequence
 
 from .errors import AlphabetMismatch, InvalidArguments, UniverseTooLarge
 from .qseries import QPolynomial
 from .relations import (
     Relation,
-    _check_alphabet_size,
     _check_same_alphabet,
     natural_order,
     relation_to_json_dict,
@@ -93,14 +93,15 @@ from .statistics import (
     TIE_COPY_LABEL_MAX,
     TIE_LEFTMOST,
     _check_rule,
+    _inversion_profile,
+    _major_profile,
     _sorting_index,
-    inversion_profile,
-    major_profile,
-    sorting_profile,
+    _sorting_profile,
 )
 from .words import (
     DEFAULT_MAX_CLASS,
     MultiplicityVector,
+    _check_alphabet_size,
     _check_class,
     _check_int,
     class_size,
@@ -505,33 +506,31 @@ def _sorting_masks(alpha: MultiplicityVector) -> set[int]:
     return {mask | loop for mask in cores for loop in loops}
 
 
-def _gram(tally: dict[tuple[int, ...], int], size: int) -> list[list[int]]:
-    """The sum of mult * P P^T over the distinct profiles P, so u^T G u is the
-    statistic's second moment over the class under the relation with bit
-    vector u."""
-    gram = [[0] * size for _ in range(size)]
-    for profile, count in tally.items():
-        support = [(b, value) for b, value in enumerate(profile) if value]
-        for a, value in support:
-            row, weight = gram[a], count * value
-            for b, other in support:
-                row[b] += weight * other
-    return gram
+def _gram(columns, counts: list[int]) -> list[list[int]]:
+    """The sum of mult * P P^T over the distinct profiles P, with columns[a]
+    holding entry a of each profile and counts their multiplicities, so
+    u^T G u is the statistic's second moment over the class under the
+    relation with bit vector u.  G is symmetric: its lower half is summed."""
+    size = range(len(columns))
+    weighted = [list(map(mul, column, counts)) for column in columns]
+    low = [[sum(map(mul, weighted[a], columns[b])) for b in range(a + 1)] for a in size]
+    return [[low[max(a, b)][min(a, b)] for b in size] for a in size]
 
 
-def _moment_form(tallies, size: int) -> list[list[int]]:
+def _moment_form(stats) -> list[list[int]]:
     """A symmetric D with u^T D u = 0 exactly when every statistic after the
-    first has the first one's second moment under the relation u.
+    first has the first one's second moment under the relation u; stats
+    holds each statistic's (columns, counts) as _gram reads them.
 
     For two statistics D is the difference of their Gram matrices.  Each
     further gap E is added to the form so far scaled past it: |u^T E u| is at
     most the sum of |E|'s entries, below the scale, so the terms cannot
     cancel.
     """
-    first = _gram(tallies[0], size)
-    form = [[0] * size for _ in range(size)]
-    for tally in tallies[1:]:
-        gap = [list(map(sub, a, b)) for a, b in zip(first, _gram(tally, size))]
+    first, *others = (_gram(*stat) for stat in stats)
+    form = [[0] * len(first) for _ in first]
+    for gram in others:
+        gap = [list(map(sub, a, b)) for a, b in zip(first, gram)]
         scale = 1 + sum(abs(v) for row in gap for v in row)
         form = [
             [scale * f + g for f, g in zip(form_row, gap_row)]
@@ -587,9 +586,7 @@ def _moment_walk(
         yield mask, gap
 
 
-def _histogram(
-    columns: list[tuple[int, ...]], counts: list[int], bits: list[int]
-) -> dict[int, int]:
+def _histogram(columns, counts: list[int], bits: list[int]) -> dict[int, int]:
     """A statistic's histogram over the class under the relation with the
     given bits: columns[b] holds entry b of each distinct profile, and
     counts[i] is the number of words sharing profile i."""
@@ -607,8 +604,8 @@ def _sweep_worker(job) -> list[int]:
     which the statistics are equidistributed over the class.
 
     A nonzero second-moment form (see _moment_form and _moment_walk)
-    settles that they are not; where it vanishes, the exact check sums each
-    distinct profile over the mask's live bits and compares the histograms.
+    settles that they are not; where it vanishes, the exact check sums the
+    mask's columns of each statistic and compares the histograms.
     """
     form, live, stats, start, stop = job
     equal = []
@@ -638,29 +635,24 @@ def _verify(
     _check_class(alpha, max_class)
     started = time.perf_counter()
     if check == CHECK_INV_MAJ:
-        builders = (inversion_profile, major_profile)
+        builders = (_inversion_profile, _major_profile)
         accepted = _essential_masks(alpha)
     else:
         _check_rule(tie_rule)
-        sor = partial(sorting_profile, tie_rule=tie_rule)
-        builders = (inversion_profile, major_profile, sor)
+        sor = partial(_sorting_profile, tie_rule=tie_rule)
+        builders = (_inversion_profile, _major_profile, sor)
         accepted = _sorting_masks(alpha)
     tallies: list[Counter[tuple[int, ...]]] = [Counter() for _ in builders]
     for word in rearrangement_class(alpha, None):
         for build, tally in zip(builders, tallies):
             tally[build(n, word.letters)] += 1
-    # a bit is dead when no profile of any statistic reads it; dropping the
-    # dead entries merges no two profiles, since they are zero in all
-    live = [b for b in range(n * n) if any(p[b] for tally in tallies for p in tally)]
-    tallies = [
-        Counter({tuple(p[b] for b in live): c for p, c in tally.items()})
-        for tally in tallies
-    ]
-    job = (
-        _moment_form(tallies, len(live)),
-        live,
-        [(list(zip(*tally)), list(tally.values())) for tally in tallies],
-    )
+    # columns[b] holds entry b of each distinct profile; a bit is dead when
+    # no profile of any statistic reads it, and dropping the dead columns
+    # merges no two profiles, since they are zero in all
+    tables = [(list(zip(*tally)), list(tally.values())) for tally in tallies]
+    live = [b for b in range(n * n) if any(any(columns[b]) for columns, _ in tables)]
+    stats = [([columns[b] for b in live], counts) for columns, counts in tables]
+    job = (_moment_form(stats), live, stats)
     parts = _run_sharded(_sweep_worker, job, 1 << len(live), jobs)
     equal = set(chain.from_iterable(parts))
     # a dead bit changes no statistic, so a live mask's verdict holds for

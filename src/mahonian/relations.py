@@ -22,15 +22,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import AlphabetMismatch, InvalidArguments, InvalidBipartition
-from .words import MultiplicityVector
+from .words import MultiplicityVector, _check_alphabet_size
 
 Pair = tuple[int, int]
-
-
-def _check_alphabet_size(n) -> None:
-    # type() rather than isinstance(): bool is an int subclass
-    if type(n) is not int or n < 1:
-        raise InvalidArguments(f"alphabet size must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -77,10 +71,12 @@ class Relation:
 
 def natural_order(n: int) -> Relation:
     """The strict integer order: (x, y) present exactly when x > y."""
+    _check_alphabet_size(n)
     return Relation(n, frozenset((x, y) for x in range(1, n + 1) for y in range(1, x)))
 
 
 def full_relation(n: int) -> Relation:
+    _check_alphabet_size(n)
     return Relation(
         n, frozenset(itertools.product(range(1, n + 1), range(1, n + 1)))
     )

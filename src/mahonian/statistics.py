@@ -32,9 +32,10 @@ sorting-based result records which rule it used.
 
 All three statistics are linear in the relation's indicator: each word has
 a profile P with one entry per ordered pair, and stat_U(w) is the sum of
-P[x, y] over the pairs (x, y) of U.  inversion_profile, major_profile and
-sorting_profile build these; the relation sweeps in oracle.py score every
-relation from them.
+P[x, y] over the pairs (x, y) of U.  _inversion_profile, _major_profile
+and _sorting_profile build these as the private kernels of the relation
+sweeps in oracle.py, which score every relation from them; they check
+nothing per word, so their callers check the letters and the tie rule.
 """
 
 from __future__ import annotations
@@ -101,13 +102,7 @@ def graphical_descent_count(relation: Relation, word) -> int:
 
 def graphical_major_index(relation: Relation, word) -> int:
     """Sum of the descent positions."""
-    letters = _checked_letters(relation.n, word)
-    edges = relation.edges
-    total = 0
-    for i in range(len(letters) - 1):
-        if (letters[i], letters[i + 1]) in edges:
-            total += i + 1
-    return total
+    return sum(graphical_descent_set(relation, word))
 
 
 @dataclass(frozen=True)
@@ -215,14 +210,13 @@ def replay_trace(letters: Sequence[int], trace: SortTrace) -> list[tuple[int, ..
     return states
 
 
-def inversion_profile(n: int, word) -> tuple[int, ...]:
+def _inversion_profile(n: int, letters) -> tuple[int, ...]:
     """Pair counts of the word: entry (x-1)*n + (y-1) is the number of
     positions i < j with (w_i, w_j) = (x, y).
 
     The entries follow the bit order of relation_from_mask, and
     graphical_inversions(U, w) is the sum of the entries over the pairs of U.
     """
-    letters = _checked_letters(n, word)
     profile = [0] * (n * n)
     seen = [0] * n  # copies of each letter left of the current position
     for y in letters:
@@ -232,25 +226,20 @@ def inversion_profile(n: int, word) -> tuple[int, ...]:
     return tuple(profile)
 
 
-def major_profile(n: int, word) -> tuple[int, ...]:
+def _major_profile(n: int, letters) -> tuple[int, ...]:
     """Summed descent positions: entry (x-1)*n + (y-1) adds up the positions
     i with (w_i, w_{i+1}) = (x, y), so graphical_major_index(U, w) is the sum
     of the entries over the pairs of U."""
-    letters = _checked_letters(n, word)
     profile = [0] * (n * n)
     for i in range(len(letters) - 1):
         profile[(letters[i] - 1) * n + letters[i + 1] - 1] += i + 1
     return tuple(profile)
 
 
-def sorting_profile(
-    n: int, word, tie_rule: str = DEFAULT_TIE_RULE
-) -> tuple[int, ...]:
+def _sorting_profile(n: int, letters, tie_rule: str) -> tuple[int, ...]:
     """Letters jumped over by the sort's moves: entry (x-1)*n + (y-1) counts
     the times a moved x passes a y, so graphical_sorting_index(U, w, tie_rule)
     is the sum of the entries over the pairs of U."""
-    _check_rule(tie_rule)
-    letters = _checked_letters(n, word)
     profile = [0] * (n * n)
     for j, i, work in _sort_moves(letters, tie_rule):
         row = (work[j] - 1) * n - 1
@@ -273,8 +262,10 @@ def maximal_chain_word(
     largest chain) and the word is their concatenation in right-to-left
     order: the first chain peeled ends up rightmost.
 
-    The search is exact and memoized over residual multiplicity vectors,
-    hence the size cap.
+    The search is exact and memoized over the states the peeling reaches,
+    (residual multiplicity vector, last letter or 0 before the first),
+    hence the size cap.  It keeps its own stack, since a chain may be longer
+    than the interpreter's recursion limit.
     """
     _check_same_alphabet(relation, alpha)
     _check_int("max_total", max_total)
@@ -285,37 +276,40 @@ def maximal_chain_word(
     edges = relation.edges
     n = alpha.n
     memo: dict[tuple[tuple[int, ...], int], int] = {}
+    # the states a state moves to, largest letter first, so the first
+    # longest move gives the lexicographically largest chain
+    moves: dict[tuple[tuple[int, ...], int], list] = {}
 
-    def longest(counts: tuple[int, ...], last: int) -> int:
-        # last == 0 means the chain is empty
-        key = (counts, last)
-        if key not in memo:
-            best = 0
-            for x in range(1, n + 1):
-                if counts[x - 1] and (last == 0 or (last, x) in edges):
-                    shrunk = counts[: x - 1] + (counts[x - 1] - 1,) + counts[x:]
-                    best = max(best, 1 + longest(shrunk, x))
-            memo[key] = best
-        return memo[key]
+    def settle(start) -> None:
+        # a state is settled when it is back on top of the stack: every
+        # state it moves to was stacked above it and settled first
+        stack = [start]
+        while stack:
+            state = stack[-1]
+            if state in memo:
+                stack.pop()
+            elif state in moves:
+                memo[state] = 1 + max([memo[move] for move in moves[state]], default=-1)
+            else:
+                counts, last = state
+                moves[state] = [
+                    (counts[: x - 1] + (counts[x - 1] - 1,) + counts[x:], x)
+                    for x in range(n, 0, -1)
+                    if counts[x - 1] and (last == 0 or (last, x) in edges)
+                ]
+                stack += moves[state]
 
     counts = alpha.counts
     chains: list[list[int]] = []
     while sum(counts) > 0:
-        length = longest(counts, 0)
+        state = (counts, 0)
+        settle(state)
         chain = []
-        last = 0
-        for remaining in range(length, 0, -1):
-            # lexicographically largest chain: try large letters first
-            for x in range(n, 0, -1):
-                if counts[x - 1] and (last == 0 or (last, x) in edges):
-                    shrunk = counts[: x - 1] + (counts[x - 1] - 1,) + counts[x:]
-                    if 1 + longest(shrunk, x) == remaining:
-                        chain.append(x)
-                        counts = shrunk
-                        last = x
-                        break
+        while memo[state]:
+            length = memo[state] - 1
+            state = next(move for move in moves[state] if memo[move] == length)
+            chain.append(state[1])
+        counts = state[0]
         chains.append(chain)
-    letters = []
-    for chain in reversed(chains):
-        letters.extend(chain)
+    letters = [x for chain in reversed(chains) for x in chain]
     return Word(tuple(letters), alpha)

@@ -7,6 +7,7 @@ lexicographic order.  Letters with a_i = 0 are legal and simply never occur.
 
 Everything here is exact integer arithmetic; enumeration is streaming, so the
 only guard is an explicit cap on the class size (ClassTooLarge), not memory.
+Every module sizes alphabets through _check_alphabet_size, capped here.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .errors import (
 
 # Streams larger than this are refused unless the caller raises the cap.
 DEFAULT_MAX_CLASS = 10**7
+
+# No alphabet is larger: a relation on n letters can hold n^2 pairs.
+MAX_ALPHABET_SIZE = 1000
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,14 @@ def _check_int(name: str, value) -> None:
     # type() rather than isinstance(): bool is an int subclass
     if type(value) is not int:
         raise InvalidArguments(f"{name} must be an integer, got {value!r}")
+
+
+def _check_alphabet_size(n) -> None:
+    # type() rather than isinstance(): bool is an int subclass
+    if type(n) is not int or not 1 <= n <= MAX_ALPHABET_SIZE:
+        raise InvalidArguments(
+            f"alphabet size must be an integer in 1..{MAX_ALPHABET_SIZE}, got {n!r}"
+        )
 
 
 def _check_class(alpha: MultiplicityVector, max_class: int | None) -> int:
@@ -234,13 +246,14 @@ def render_letters(letters: Sequence[int], n: int) -> str:
 def infer_alpha(letters: Sequence[int], n: int | None = None) -> MultiplicityVector:
     """Multiplicity vector of a letter sequence, over alphabet 1..n.
 
-    With n omitted, the alphabet is 1..max(letters) (1 for the empty word).
+    With n omitted, the alphabet is 1..max(letters), and at least 1.
     """
     for x in letters:
         if type(x) is not int:
             raise LetterOutOfRange(f"letter {x!r} is not an integer")
     if n is None:
-        n = max(letters) if letters else 1
+        n = max([1, *letters])
+    _check_alphabet_size(n)
     counts = [0] * n
     for x in letters:
         if not 1 <= x <= n:

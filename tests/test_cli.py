@@ -319,6 +319,23 @@ def test_chainword(capsys):
     assert "cap" in err
 
 
+def test_chainword_longer_than_the_recursion_limit(capsys):
+    code, out, _ = run(
+        capsys, "chainword", "--alpha", "1100", "--edges", "1 1", "--max-total", "1100"
+    )
+    assert (code, out) == (0, "1" * 1100 + "\n")
+
+
+def test_alphabet_sizes_above_the_cap_exit_2(capsys):
+    for argv in [
+        ("stats", "--word", "2 1", "--relation", "natural", "--n", "1001"),
+        ("check", "bipartitional", "--edges", "1001 1"),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "alphabet size must be an integer in 1..1000" in err
+
+
 def test_relation_from_files(capsys, tmp_path):
     text_file = tmp_path / "relation.txt"
     text_file.write_text("2 1\n")

@@ -10,7 +10,7 @@ from functools import partial
 import pytest
 
 import mahonian.oracle as oracle
-from mahonian.statistics import inversion_profile, major_profile, sorting_profile
+from mahonian.statistics import _inversion_profile, _major_profile, _sorting_profile
 
 from mahonian import (
     AlphabetMismatch,
@@ -519,8 +519,8 @@ def full_walks(n, alpha):
     filter and no live/dead split, and the public predicates; thm2 is keyed
     by tie rule."""
     words = [word.letters for word in rearrangement_class(alpha)]
-    builders = {"inv": inversion_profile, "maj": major_profile} | {
-        rule: partial(sorting_profile, tie_rule=rule) for rule in TIE_RULES
+    builders = {"inv": _inversion_profile, "maj": _major_profile} | {
+        rule: partial(_sorting_profile, tie_rule=rule) for rule in TIE_RULES
     }
     profiles = {key: [build(n, w) for w in words] for key, build in builders.items()}
     found = {"thm1": []} | {rule: [] for rule in TIE_RULES}
@@ -569,7 +569,9 @@ def test_exact_check_alone_matches_the_per_relation_route(monkeypatch, counts):
     exact histogram check, and the sweeps still match the per-relation
     route."""
     monkeypatch.setattr(
-        oracle, "_moment_form", lambda tallies, size: [[0] * size for _ in range(size)]
+        oracle,
+        "_moment_form",
+        lambda stats: [[0] * len(stats[0][0]) for _ in stats[0][0]],
     )
     n, alpha = len(counts), MultiplicityVector(counts)
     expected = slow_sweeps(n, alpha)
@@ -612,9 +614,9 @@ def test_sweep_worker_returns_the_equidistributed_live_masks(monkeypatch, counts
     exactly the masks of the live bits (those some word's profile reads)
     under which the profile-summed histograms agree, each once."""
     n, alpha = len(counts), MultiplicityVector(counts)
-    builders = [inversion_profile, major_profile]
+    builders = [_inversion_profile, _major_profile]
     if rule is not None:
-        builders.append(partial(sorting_profile, tie_rule=rule))
+        builders.append(partial(_sorting_profile, tie_rule=rule))
     profiles = [
         [build(n, word.letters) for word in rearrangement_class(alpha)]
         for build in builders

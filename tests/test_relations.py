@@ -26,6 +26,7 @@ from mahonian import (
     relation_from_text,
     relation_to_json_dict,
     relation_to_text,
+    relation_universe,
     satisfies_sorting_conditions,
     to_ordered_bipartition,
 )
@@ -369,3 +370,24 @@ def test_relation_json_and_text_round_trips():
         relation_from_text("1 2;3")
     with pytest.raises(InvalidArguments):
         relation_from_json_dict({"n": 2})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: Relation(n, frozenset()),
+        lambda n: relation_from_mask(n, 0),
+        lambda n: relation_universe(n, max_alphabet=n),
+        natural_order,
+        full_relation,
+    ],
+    ids=["Relation", "relation_from_mask", "relation_universe", "natural", "full"],
+)
+def test_alphabet_size_is_capped_where_it_enters(build):
+    """No relation is built on more than 1,000 letters, and natural_order and
+    full_relation refuse before they build a pair (the natural order on
+    1,000 letters already holds 499,500)."""
+    with pytest.raises(
+        InvalidArguments, match=r"alphabet size must be an integer in 1\.\.1000, got 1001"
+    ):
+        build(1001)

@@ -227,6 +227,15 @@ def test_maximal_chain_word_dominates_inversions():
         assert graphical_major_index(u, chain_word) >= peak
 
 
+def test_maximal_chain_word_outgrows_the_recursion_limit():
+    """The search keeps its own stack, so a chain longer than the default
+    recursion limit of 1,000 frames is found whole."""
+    word = maximal_chain_word(
+        Relation(1, {(1, 1)}), MultiplicityVector((1100,)), max_total=1100
+    )
+    assert word.letters == (1,) * 1100
+
+
 def test_maximal_chain_word_size_cap():
     alpha = MultiplicityVector((7, 6))
     with pytest.raises(SizeCapExceeded):

@@ -189,3 +189,12 @@ def test_infer_alpha_needs_integer_letters(letter):
     for n in (None, 2):
         with pytest.raises(LetterOutOfRange, match="is not an integer"):
             infer_alpha([letter], n)
+
+
+def test_infer_alpha_caps_the_alphabet():
+    """Neither one large letter nor an explicit n sizes an alphabet above
+    1,000 letters, so no count list is allocated for it; 1,000 is allowed."""
+    for letters, n in [([1001], None), ([10**6], None), ([1], 1001)]:
+        with pytest.raises(InvalidArguments, match="alphabet size must be an integer"):
+            infer_alpha(letters, n)
+    assert infer_alpha([1000]).n == 1000
