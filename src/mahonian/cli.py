@@ -40,10 +40,8 @@ from .statistics import (
     TIE_COPY_LABEL_MAX,
     TIE_LEFTMOST,
     TIE_RIGHTMOST,
-    graphical_descent_count,
     graphical_descent_set,
     graphical_inversions,
-    graphical_major_index,
     graphical_sorting_index,
     graphical_sorting_trace,
     maximal_chain_word,
@@ -90,7 +88,8 @@ def _read_source(spec: str) -> str:
 def _parse_json(text: str, what: str) -> dict:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError: bad syntax, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:
         raise InvalidArguments(f"malformed {what} JSON: {exc}")
     if not isinstance(data, dict):
         raise InvalidArguments(f"{what} JSON must be an object")
@@ -192,10 +191,11 @@ def _cmd_stats(args) -> int:
         make_word(letters, alpha)  # validates membership in the class
     tie_rule = _resolve_tie_rule(args)
 
+    descents = sorted(graphical_descent_set(relation, letters))
     values = {
         "inv": graphical_inversions(relation, letters),
-        "des": graphical_descent_count(relation, letters),
-        "maj": graphical_major_index(relation, letters),
+        "des": len(descents),
+        "maj": sum(descents),
         "sor": graphical_sorting_index(relation, letters, tie_rule),
     }
     if args.stat is not None:
@@ -204,7 +204,7 @@ def _cmd_stats(args) -> int:
 
     lines = [f"{name} {value}" for name, value in values.items()]
     payload = dict(values)
-    payload["descent_set"] = sorted(graphical_descent_set(relation, letters))
+    payload["descent_set"] = descents
     if args.trace:
         trace = graphical_sorting_trace(relation, letters, tie_rule)
         lines.append(f"trace (tie rule {tie_rule}):")

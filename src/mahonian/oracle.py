@@ -24,9 +24,9 @@ disagree.
 A sweep never reruns the per-word statistics per relation.  Every statistic
 is a sum over the relation's pairs of a per-word profile (built by the
 private kernels of statistics.py), so the sweep streams the class once, in
-the calling process, and keeps each statistic as (columns, counts): one
-column per pair over its distinct profiles, and their multiplicities.  A
-bit (pair) is dead when every statistic's column is zero there, and live
+the calling process, and keeps each statistic as its columns: one column
+per pair, holding that pair's entry of each word's profile in class order.
+A bit (pair) is dead when every statistic's column is zero there, and live
 otherwise: a dead pair changes no statistic on any word, so relations that
 differ only in dead bits get the same verdict.  Which bits are dead is read
 off the profiles, not assumed; on the classes tried they are the loops on
@@ -64,9 +64,9 @@ distribution, of Gray-code ranks for a sweep), one per worker process and
 at most one per CPU, and a single range runs in the calling process.
 Arguments are validated in the caller, and a job carries the validated
 relation and class themselves, or for a sweep the moment form, the live
-bits and the live columns (never the predicate set), not a description for
-each worker to rebuild, so the workers call the unchecked sort and no
-worker streams the class again.
+bits, the live columns and the class size (never the predicate set), not
+a description for each worker to rebuild, so the workers call the
+unchecked sort and no worker streams the class again.
 """
 
 from __future__ import annotations
@@ -506,28 +506,27 @@ def _sorting_masks(alpha: MultiplicityVector) -> set[int]:
     return {mask | loop for mask in cores for loop in loops}
 
 
-def _gram(columns, counts: list[int]) -> list[list[int]]:
-    """The sum of mult * P P^T over the distinct profiles P, with columns[a]
-    holding entry a of each profile and counts their multiplicities, so
-    u^T G u is the statistic's second moment over the class under the
-    relation with bit vector u.  G is symmetric: its lower half is summed."""
+def _gram(columns) -> list[list[int]]:
+    """The sum of P P^T over the words' profiles P, with columns[a] holding
+    entry a of each profile, so u^T G u is the statistic's second moment
+    over the class under the relation with bit vector u.  G is symmetric:
+    its lower half is summed."""
     size = range(len(columns))
-    weighted = [list(map(mul, column, counts)) for column in columns]
-    low = [[sum(map(mul, weighted[a], columns[b])) for b in range(a + 1)] for a in size]
+    low = [[sum(map(mul, columns[a], columns[b])) for b in range(a + 1)] for a in size]
     return [[low[max(a, b)][min(a, b)] for b in size] for a in size]
 
 
 def _moment_form(stats) -> list[list[int]]:
     """A symmetric D with u^T D u = 0 exactly when every statistic after the
     first has the first one's second moment under the relation u; stats
-    holds each statistic's (columns, counts) as _gram reads them.
+    holds each statistic's columns as _gram reads them.
 
     For two statistics D is the difference of their Gram matrices.  Each
     further gap E is added to the form so far scaled past it: |u^T E u| is at
     most the sum of |E|'s entries, below the scale, so the terms cannot
     cancel.
     """
-    first, *others = (_gram(*stat) for stat in stats)
+    first, *others = map(_gram, stats)
     form = [[0] * len(first) for _ in first]
     for gram in others:
         gap = [list(map(sub, a, b)) for a, b in zip(first, gram)]
@@ -586,17 +585,14 @@ def _moment_walk(
         yield mask, gap
 
 
-def _histogram(columns, counts: list[int], bits: list[int]) -> dict[int, int]:
+def _histogram(columns, bits: list[int], size: int) -> Counter[int]:
     """A statistic's histogram over the class under the relation with the
-    given bits: columns[b] holds entry b of each distinct profile, and
-    counts[i] is the number of words sharing profile i."""
-    values = repeat(0)
-    for b in bits:
+    given bits, columns[b] holding entry b of each word's profile; with no
+    bits the sum is one zero per word, so every word is still counted."""
+    values = columns[bits[0]] if bits else repeat(0, size)
+    for b in bits[1:]:
         values = map(add, values, columns[b])
-    histogram: dict[int, int] = {}
-    for value, count in zip(values, counts):
-        histogram[value] = histogram.get(value, 0) + count
-    return histogram
+    return Counter(values)
 
 
 def _sweep_worker(job) -> list[int]:
@@ -607,13 +603,13 @@ def _sweep_worker(job) -> list[int]:
     settles that they are not; where it vanishes, the exact check sums the
     mask's columns of each statistic and compares the histograms.
     """
-    form, live, stats, start, stop = job
+    form, live, stats, size, start, stop = job
     equal = []
     for mask, gap in _moment_walk(form, live, start, stop):
         if gap:
             continue
         bits = [i for i, b in enumerate(live) if mask >> b & 1]
-        first, *rest = (_histogram(*stat, bits) for stat in stats)
+        first, *rest = (_histogram(columns, bits, size) for columns in stats)
         if all(histogram == first for histogram in rest):
             equal.append(mask)
     return equal
@@ -642,17 +638,11 @@ def _verify(
         sor = partial(_sorting_profile, tie_rule=tie_rule)
         builders = (_inversion_profile, _major_profile, sor)
         accepted = _sorting_masks(alpha)
-    tallies: list[Counter[tuple[int, ...]]] = [Counter() for _ in builders]
-    for word in rearrangement_class(alpha, None):
-        for build, tally in zip(builders, tallies):
-            tally[build(n, word.letters)] += 1
-    # columns[b] holds entry b of each distinct profile; a bit is dead when
-    # no profile of any statistic reads it, and dropping the dead columns
-    # merges no two profiles, since they are zero in all
-    tables = [(list(zip(*tally)), list(tally.values())) for tally in tallies]
-    live = [b for b in range(n * n) if any(any(columns[b]) for columns, _ in tables)]
-    stats = [([columns[b] for b in live], counts) for columns, counts in tables]
-    job = (_moment_form(stats), live, stats)
+    words = [word.letters for word in rearrangement_class(alpha, None)]
+    tables = [list(zip(*map(partial(build, n), words))) for build in builders]
+    live = [b for b in range(n * n) if any(any(columns[b]) for columns in tables)]
+    stats = [[columns[b] for b in live] for columns in tables]
+    job = (_moment_form(stats), live, stats, len(words))
     parts = _run_sharded(_sweep_worker, job, 1 << len(live), jobs)
     equal = set(chain.from_iterable(parts))
     # a dead bit changes no statistic, so a live mask's verdict holds for

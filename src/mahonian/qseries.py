@@ -163,6 +163,16 @@ def q_binomial(n: int, k: int) -> QPolynomial:
     return q_multinomial((n - k, k))
 
 
+def _check_degree(parts: Sequence[int], shift: int = 0) -> None:
+    """Raise when q^shift times the Gaussian multinomial of the parts, of
+    degree shift + sum_{i<j} p_i p_j, is past ``MAX_QSERIES_DEGREE``."""
+    degree = shift + (sum(parts) ** 2 - sum(p * p for p in parts)) // 2
+    if degree > MAX_QSERIES_DEGREE:
+        raise SizeCapExceeded(
+            f"q-series degree {degree} exceeds the cap {MAX_QSERIES_DEGREE}"
+        )
+
+
 def q_multinomial(parts: Sequence[int]) -> QPolynomial:
     """Gaussian multinomial, as a telescoping product of q-binomials.
 
@@ -176,11 +186,7 @@ def q_multinomial(parts: Sequence[int]) -> QPolynomial:
     parts = list(parts)
     if any(type(p) is not int or p < 0 for p in parts):
         raise InvalidArguments(f"parts must be integers >= 0, got {parts!r}")
-    degree = (sum(parts) ** 2 - sum(p * p for p in parts)) // 2
-    if degree > MAX_QSERIES_DEGREE:
-        raise SizeCapExceeded(
-            f"q-series degree {degree} exceeds the cap {MAX_QSERIES_DEGREE}"
-        )
+    _check_degree(parts)
     coeffs = [1]
     mass = 0
     for p in sorted(parts, reverse=True):
@@ -253,10 +259,12 @@ def gf_bipartitional(alpha: MultiplicityVector, bp: OrderedBipartition) -> QPoly
     The product runs over block masses m_j (total multiplicity inside the
     block): the Gaussian multinomial of the masses, times the plain
     multinomial count of arrangements within each block, shifted by q to the
-    number of internal pairs of each underlined block.
+    number of internal pairs of each underlined block.  A degree, shift
+    included, above ``MAX_QSERIES_DEGREE`` raises before any work.
     """
     masses, scalar = _block_data(alpha, bp)
     shift = sum(math.comb(m, 2) for m, flag in zip(masses, bp.flags) if flag)
+    _check_degree(masses, shift)
     return QPolynomial((0,) * shift + (q_multinomial(masses) * scalar).coeffs)
 
 

@@ -396,6 +396,24 @@ def test_code_json_needs_integers(capsys):
         assert "malformed code object" in err
 
 
+def test_json_past_the_parser_limits_exits_2(capsys, tmp_path):
+    """A nesting past the recursion limit and an integer past the digit
+    limit fail as malformed JSON on every JSON input, not as tracebacks."""
+    json_file = tmp_path / "relation.json"
+    for body in ('{"n": ' + "[" * 100000, '{"n": ' + "9" * 5000 + "}"):
+        json_file.write_text(body)
+        for argv, what in (
+            (["bcode", "decode", "--alpha", "2,1,1,3,1", "--edges", CHAIN_EDGES,
+              "--code", body], "code"),
+            (["gf", "--alpha", "2,1", "--stat", "inv", "--bipartition", body],
+             "bipartition"),
+            (["check", "bipartitional", "--relation", f"@{json_file}"], "relation"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv[0]
+            assert f"malformed {what} JSON" in err
+
+
 def test_natural_relation_needs_an_alphabet_size(capsys):
     code, _, err = run(capsys, "check", "bipartitional", "--relation", "natural")
     assert code == 2

@@ -571,7 +571,7 @@ def test_exact_check_alone_matches_the_per_relation_route(monkeypatch, counts):
     monkeypatch.setattr(
         oracle,
         "_moment_form",
-        lambda stats: [[0] * len(stats[0][0]) for _ in stats[0][0]],
+        lambda stats: [[0] * len(stats[0]) for _ in stats[0]],
     )
     n, alpha = len(counts), MultiplicityVector(counts)
     expected = slow_sweeps(n, alpha)
@@ -642,11 +642,33 @@ def test_sweep_worker_returns_the_equidistributed_live_masks(monkeypatch, counts
         assert sorted(split) == sorted(expected)
 
 
+@pytest.mark.parametrize("counts, rule", SWEEP_CASES, ids=str)
+def test_exact_check_histograms_match_the_public_kernels(monkeypatch, counts, rule):
+    """Under every live mask, each statistic's exact-check histogram from the
+    job's columns is the histogram of its public per-word kernel over the
+    class under that relation, and counts every word once."""
+    n, alpha = len(counts), MultiplicityVector(counts)
+    kernels = [graphical_inversions, graphical_major_index]
+    if rule is not None:
+        kernels.append(partial(graphical_sorting_index, tie_rule=rule))
+    words = list(rearrangement_class(alpha))
+    job, _ = captured_sweep(monkeypatch, counts, rule)
+    _, live, stats, size = job
+    assert size == class_size(alpha)
+    for chosen in itertools.product((0, 1), repeat=len(live)):
+        bits = [i for i, bit in enumerate(chosen) if bit]
+        relation = relation_from_mask(n, sum(1 << live[i] for i in bits))
+        for columns, kernel in zip(stats, kernels):
+            histogram = oracle._histogram(columns, bits, size)
+            assert histogram == Counter(kernel(relation, word) for word in words)
+            assert sum(histogram.values()) == class_size(alpha)
+
+
 @pytest.mark.parametrize("rule", [None, TIE_RIGHTMOST], ids=str)
 def test_sweep_job_carries_no_predicate_set(monkeypatch, rule):
-    """The job each worker receives holds the moment form, the live bits and
-    the profiles only: no set or dict, so no predicate set or grouping of it
-    is pickled into the workers."""
+    """The job each worker receives holds the moment form, the live bits,
+    the live columns and the class size only: no set or dict, so no
+    predicate set or grouping of it is pickled into the workers."""
 
     def containers(value):
         if isinstance(value, (set, frozenset, dict)):

@@ -331,8 +331,7 @@ def test_moment_walk_tracks_the_second_moment_gap(case):
     if rule is not None:
         builders.append(partial(_sorting_profile, tie_rule=rule))
         kernels.append(partial(graphical_sorting_index, tie_rule=rule))
-    tallies = [Counter(build(n, letters) for letters in words) for build in builders]
-    stats = [(list(zip(*tally)), list(tally.values())) for tally in tallies]
+    stats = [list(zip(*(build(n, letters) for letters in words))) for build in builders]
     form = oracle._moment_form(stats)
     walked = list(oracle._moment_walk(form, list(range(n * n)), start, stop))
     assert [mask for mask, _ in walked] == [k ^ (k >> 1) for k in range(start, stop)]

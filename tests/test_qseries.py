@@ -185,6 +185,10 @@ def test_q_multinomial_degree_cap(monkeypatch):
             MultiplicityVector((5000, 5000)),
             OrderedBipartition((frozenset({2}), frozenset({1})), (0, 0)),
         ),
+        # the underline's shift C(400, 2) alone passes the cap
+        lambda: gf_bipartitional(
+            MultiplicityVector((400,)), OrderedBipartition((frozenset({1}),), (1,))
+        ),
     ):
         with pytest.raises(SizeCapExceeded, match=str(cap)):
             call()
