@@ -390,7 +390,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "distributions, generating functions, codes and exhaustive checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    registry: dict[str, argparse.ArgumentParser] = {}
 
     p = sub.add_parser("stats", help="statistics of one word under a relation")
     _add_common(p, relation=True, alpha=True, word=True)
@@ -398,7 +397,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_tie_rule(p)
     p.add_argument("--trace", action="store_true", help="show the sorting steps")
     p.set_defaults(handler=_cmd_stats)
-    registry["stats"] = p
 
     p = sub.add_parser("dist", help="distribution of a statistic over a class")
     _add_common(p, relation=True, alpha=True)
@@ -418,7 +416,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         help="enumeration cap (default MAHONIAN_MAX_CLASS or 10^7)",
     )
     p.set_defaults(handler=_cmd_dist)
-    registry["dist"] = p
 
     p = sub.add_parser("gf", help="closed-form generating function of a statistic")
     _add_common(p, relation=True, alpha=True)
@@ -429,7 +426,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         help='inline JSON or @file: {"blocks":[[5,4],[3],[2,1]],"flags":[0,0,0]}',
     )
     p.set_defaults(handler=_cmd_gf)
-    registry["gf"] = p
 
     p = sub.add_parser("check", help="structural predicates of a relation")
     p.add_argument(
@@ -437,7 +433,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     _add_common(p, relation=True, alpha=True)
     p.set_defaults(handler=_cmd_check)
-    registry["check"] = p
 
     p = sub.add_parser("bcode", help="encode a word as a code, or decode one")
     p.add_argument("action", choices=("encode", "decode"))
@@ -448,7 +443,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         help='inline JSON or @file: {"partitions":[[4,2,2,1],[1],[0,0,0]],"markers":[3,0,2]}',
     )
     p.set_defaults(handler=_cmd_bcode)
-    registry["bcode"] = p
 
     p = sub.add_parser("verify", help="exhaustive equidistribution sweeps")
     p.add_argument("theorem", choices=("thm1", "thm2"))
@@ -464,7 +458,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.add_argument("--max-class", type=int, default=None)
     p.set_defaults(handler=_cmd_verify)
-    registry["verify"] = p
 
     p = sub.add_parser("chainword", help="word built from longest relation chains")
     _add_common(p, relation=True, alpha=True)
@@ -472,9 +465,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "--max-total", type=int, default=12, help="cap on the class mass"
     )
     p.set_defaults(handler=_cmd_chainword)
-    registry["chainword"] = p
 
-    return parser, registry
+    return parser, sub.choices  # each subcommand's parser, by name
 
 
 # parsing leaves the parser as it was, so one per process serves every call

@@ -7,10 +7,11 @@ step can be undone in as many ways as the tie rule allows, and the undone
 steps from the sorted word reach every word of the class once, adding up
 its index on the way, so no word is sorted.  Under copy-label-max with a
 repeated letter the mover depends on the copies' original positions, which
-a partly undone word does not record, so that one case sorts every word of
-the class.  All three routes pack a distribution into one integer, a lane
-of size.bit_length() bits per power of q for a class of size words: no
-count they add up exceeds the class size, so no lane overflows.
+a partly undone word does not record, so that one case sorts every word,
+merging the words whose sorts reach the same prefix.  All three routes
+pack a distribution into one integer, a lane of size.bit_length() bits per
+power of q for a class of size words: no count they add up exceeds the
+class size, so no lane overflows.
 
 The verifiers cover every relation on the alphabet (all 2^(n*n) bitmasks)
 and compare two routes, the structural predicate and equidistribution over
@@ -58,15 +59,15 @@ two routes meet once, in the caller, over all 2^(n*n) relations: an
 accepted mask whose live part the walk did not return disagrees, and so
 does each completion (with any dead bits) of a returned mask not accepted.
 
-The copy-label-max enumeration and the sweeps share one sharded path,
+The copy-label-max prefix DP and the sweeps share one sharded path,
 _run_sharded: the work is cut into contiguous ranges (of class ranks for a
 distribution, of Gray-code ranks for a sweep), one per worker process and
 at most one per CPU, and a single range runs in the calling process.
 Arguments are validated in the caller, and a job carries the validated
-relation and class themselves, or for a sweep the moment form, the live
-bits, the live columns and the class size (never the predicate set), not
-a description for each worker to rebuild, so the workers call the
-unchecked sort and no worker streams the class again.
+relation's pairs, the class and the lane width, or for a sweep the moment
+form, the live bits, the live columns and the class size (never the
+predicate set), not a description for each worker to rebuild, so no worker
+checks an argument and no sweep worker streams the class again.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, mul, sub
 from typing import Iterator, Sequence
 
@@ -95,7 +96,6 @@ from .statistics import (
     _check_rule,
     _inversion_profile,
     _major_profile,
-    _sorting_index,
     _sorting_profile,
 )
 from .words import (
@@ -260,13 +260,43 @@ def _unsort_histogram(edges, tie_rule: str, counts: tuple[int, ...], width: int)
     return packed
 
 
+_SORT_RUN = 4096  # words per run of _sorting_worker's prefix DP
+
+
 def _sorting_worker(job) -> int:
-    # a shard's counts are at most the class's, so they fit its lanes
-    edges, tie_rule, alpha, width, start, stop = job
-    return sum(
-        1 << _sorting_index(edges, word.letters, tie_rule) * width
-        for word in rearrangement_class_range(alpha, start, stop)
-    )
+    """Copy-label-max sorting-index distribution over the class ranks
+    [start, stop), packed (see distribution), by a DP over sort prefixes.
+
+    Word w stands for p, p[h] the letters below w_h plus the copies of w_h
+    before h: its sort is the selection sort of p, whose step i moves the
+    value i (a copy of ordered[i]) from j and adds its related values in
+    p[j+1..i].  The rest depends only on the prefix of length i left, so a
+    layer maps each prefix to the packed polynomial of the words reaching
+    it.  Each run of _SORT_RUN words frees its layers before the next.
+    """
+    edges, alpha, width, start, stop = job
+    ordered = [x for x, a in enumerate(alpha.counts, 1) for _ in range(a)]
+    related = [[width * ((x, y) in edges) for y in ordered] for x in ordered]
+    below, packed = [0, *accumulate(alpha.counts)], 0
+    def standardized(run):  # each word as (p, 1), made as its first step reads it
+        for word in rearrangement_class_range(alpha, run, min(run + _SORT_RUN, stop)):
+            seen, p = below[:], []  # seen[x - 1]: letters below x, then copies seen
+            for x in word.letters:
+                p.append(seen[x - 1])
+                seen[x - 1] += 1
+            yield tuple(p), 1
+    for run in range(start, stop, _SORT_RUN):
+        layer = standardized(run)
+        for i in range(len(ordered) - 1, 0, -1):
+            row, following = related[i], {}
+            for prefix, poly in layer:
+                j = prefix.index(i)
+                gain = sum(map(row.__getitem__, prefix[j + 1 :]))
+                state = prefix[:j] + prefix[i:] + prefix[j + 1 : i] if j < i else prefix[:i]
+                following[state] = following.get(state, 0) + (poly << gain)
+            layer = following.items()
+        packed += sum(poly for _, poly in layer)
+    return packed
 
 
 def distribution(
@@ -283,8 +313,8 @@ def distribution(
 
     inv and maj come from the transfer-matrix DP and sor from undoing the
     sort.  Only sor under copy-label-max on a class with a repeated letter
-    enumerates the class, in up to jobs worker processes.  The class cap
-    applies to all three.
+    enumerates the class, in up to jobs worker processes, merging shared
+    sort prefixes.  The class cap applies to all three.
 
     Every route returns the polynomial packed into one integer, lane k of
     size.bit_length() bits holding the coefficient of q^k, so adding a
@@ -303,8 +333,7 @@ def distribution(
     elif tie_rule != TIE_COPY_LABEL_MAX or max(alpha.counts) <= 1:
         packed = _unsort_histogram(relation.edges, tie_rule, alpha.counts, width)
     else:
-        job = (relation.edges, tie_rule, alpha, width)
-        packed = sum(_run_sharded(_sorting_worker, job, size, jobs))
+        packed = sum(_run_sharded(_sorting_worker, (relation.edges, alpha, width), size, jobs))
     bits = bin(packed)[2:].zfill(-(-packed.bit_length() // width) * width)
     return QPolynomial([int(bits[i - width : i], 2) for i in range(len(bits), 0, -width)])
 

@@ -30,7 +30,7 @@ from .relations import (
     from_ordered_bipartition,
     satisfies_sorting_conditions,
 )
-from .words import MultiplicityVector
+from .words import PRINTABLE_DIGITS, MultiplicityVector, _digits
 
 
 # Largest degree q_multinomial computes: at the cap, equal parts such as
@@ -173,6 +173,14 @@ def _check_degree(parts: Sequence[int], shift: int = 0) -> None:
         )
 
 
+def _check_size(parts: Sequence[int], scalar: int = 1) -> None:
+    """Raise when the class size, scalar times the multinomial of the parts
+    and a bound on every coefficient, has more than PRINTABLE_DIGITS digits."""
+    size = multinomial(parts) * scalar
+    if size >= 10**PRINTABLE_DIGITS:
+        raise SizeCapExceeded(f"class size has {_digits(size)} digits, too many to print")
+
+
 def q_multinomial(parts: Sequence[int]) -> QPolynomial:
     """Gaussian multinomial, as a telescoping product of q-binomials.
 
@@ -187,6 +195,7 @@ def q_multinomial(parts: Sequence[int]) -> QPolynomial:
     if any(type(p) is not int or p < 0 for p in parts):
         raise InvalidArguments(f"parts must be integers >= 0, got {parts!r}")
     _check_degree(parts)
+    _check_size(parts)
     coeffs = [1]
     mass = 0
     for p in sorted(parts, reverse=True):
@@ -249,7 +258,10 @@ def _block_data(alpha: MultiplicityVector, bp: OrderedBipartition):
         block_counts = [alpha.count_of(x) for x in sorted(block)]
         masses.append(sum(block_counts))
         scalar *= multinomial(block_counts)
-    return masses, scalar
+    shift = sum(math.comb(m, 2) for m, flag in zip(masses, bp.flags) if flag)
+    _check_degree(masses, shift)
+    _check_size(masses, scalar)
+    return masses, scalar, shift
 
 
 def gf_bipartitional(alpha: MultiplicityVector, bp: OrderedBipartition) -> QPolynomial:
@@ -262,9 +274,7 @@ def gf_bipartitional(alpha: MultiplicityVector, bp: OrderedBipartition) -> QPoly
     number of internal pairs of each underlined block.  A degree, shift
     included, above ``MAX_QSERIES_DEGREE`` raises before any work.
     """
-    masses, scalar = _block_data(alpha, bp)
-    shift = sum(math.comb(m, 2) for m, flag in zip(masses, bp.flags) if flag)
-    _check_degree(masses, shift)
+    masses, scalar, shift = _block_data(alpha, bp)
     return QPolynomial((0,) * shift + (q_multinomial(masses) * scalar).coeffs)
 
 
@@ -275,5 +285,5 @@ def gf_sorting(alpha: MultiplicityVector, bp: OrderedBipartition) -> QPolynomial
     ok, reasons = satisfies_sorting_conditions(relation, alpha)
     if not ok:
         raise ConditionsNotSatisfied(reasons)
-    masses, scalar = _block_data(alpha, bp)
+    masses, scalar, _ = _block_data(alpha, bp)
     return q_multinomial(masses) * scalar

@@ -29,6 +29,8 @@ DEFAULT_MAX_CLASS = 10**7
 # No alphabet is larger: a relation on n letters can hold n^2 pairs.
 MAX_ALPHABET_SIZE = 1000
 
+PRINTABLE_DIGITS = 4300  # str() refuses an integer of more digits
+
 
 @dataclass(frozen=True)
 class MultiplicityVector:
@@ -137,8 +139,15 @@ def _check_class(alpha: MultiplicityVector, max_class: int | None) -> int:
         _check_int("max_class", max_class)
     size = class_size(alpha)
     if max_class is not None and size > max_class:
-        raise ClassTooLarge(f"class has {size} words, cap is {max_class}")
+        shown = size if size < 10**PRINTABLE_DIGITS else f"a {_digits(size)}-digit number of"
+        raise ClassTooLarge(f"class has {shown} words, cap is {max_class}")
     return size
+
+
+def _digits(n: int) -> int:
+    """Digits of n >= 1 without str(n): those of the largest 2^k <= n, or one more."""
+    d = int((n.bit_length() - 1) * math.log10(2)) + 1
+    return d + (n >= 10**d)
 
 
 def _next_permutation(a: list[int]) -> bool:

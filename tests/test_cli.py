@@ -172,6 +172,24 @@ def test_gf_above_the_degree_cap_exits_2(capsys):
         assert "exceeds the cap" in err
 
 
+def test_sizes_past_the_digit_limit_exit_2(capsys):
+    """A class whose size has more than 4,300 digits fails cleanly: the
+    class cap's message and the gf coefficients never print the size."""
+    for argv, message in (
+        (["dist", "--alpha", "9000,9000", "--stat", "inv"], "5417-digit number of words"),
+        (
+            ["gf", "--alpha", "9000,9000", "--stat", "inv",
+             "--bipartition", '{"blocks":[[1,2]],"flags":[0]}'],
+            "class size has 5417 digits",
+        ),
+        (["gf", "--alpha", "9000,9000", "--stat", "sor", "--edges", ""], "5417 digits"),
+    ):
+        for form in ("text", "json"):
+            code, out, err = run(capsys, *argv, "--format", form)
+            assert (code, out) == (2, ""), (argv[0], form)
+            assert message in err, (argv[0], form)
+
+
 def test_gf_sorting_conditions_failure_exits_2(capsys):
     code, _, err = run(
         capsys, "gf", "--alpha", "1,2", "--stat", "sor", "--edges", "2 1;2 2"

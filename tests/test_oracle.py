@@ -4,6 +4,7 @@ import concurrent.futures
 import itertools
 import math
 import time
+import tracemalloc
 from collections import Counter
 from functools import partial
 
@@ -166,7 +167,7 @@ def counted_calls(monkeypatch):
 
     for module, names in (
         (words_module, ["rearrangement_class_range", "unrank_word", "_next_permutation"]),
-        (oracle, ["rearrangement_class", "rearrangement_class_range", "_sorting_index"]),
+        (oracle, ["rearrangement_class", "rearrangement_class_range"]),
         (statistics_module, [
             "graphical_inversions", "graphical_major_index",
             "graphical_sorting_index", "_sorting_index", "_sort_moves",
@@ -248,6 +249,39 @@ def test_sor_distribution_of_a_large_class():
     got = distribution("sor", alpha, tie_rule=TIE_RIGHTMOST, max_class=None)
     elapsed = time.perf_counter() - start
     assert got == closed and closed(1) == 369_600
+    assert elapsed < 2, f"took {elapsed:.2f}s of its 2s budget"
+
+
+def test_copy_label_max_runs_keep_memory_flat():
+    """(3,3,2,2) has 25,200 words, seven runs of the prefix DP: the
+    copy-label-max distribution equals the class sorted word by word, and
+    its traced peak stays below 2 MB, which one run over the whole class
+    would pass."""
+    alpha = MultiplicityVector((3, 3, 2, 2))
+    u = natural_order(4)
+    values = Counter(
+        graphical_sorting_index(u, w, TIE_COPY_LABEL_MAX) for w in rearrangement_class(alpha)
+    )
+    expected = QPolynomial([values[k] for k in range(max(values) + 1)])
+    tracemalloc.start()
+    try:
+        got = distribution("sor", alpha, tie_rule=TIE_COPY_LABEL_MAX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.2f} MB of its 2 MB budget"
+
+
+def test_copy_label_max_sor_distribution_within_budget():
+    """(2,2,2,2,2) has 113,400 words; the prefix DP sorts them within two
+    seconds, and two shards give the same polynomial."""
+    alpha = MultiplicityVector((2,) * 5)
+    start = time.perf_counter()
+    got = distribution("sor", alpha, tie_rule=TIE_COPY_LABEL_MAX)
+    elapsed = time.perf_counter() - start
+    assert got(1) == class_size(alpha) == 113_400
+    assert got == distribution("sor", alpha, tie_rule=TIE_COPY_LABEL_MAX, jobs=2)
     assert elapsed < 2, f"took {elapsed:.2f}s of its 2s budget"
 
 

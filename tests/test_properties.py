@@ -6,7 +6,8 @@ brute-force class, the block code round trip on random qualifying
 relations, the sweep's incrementally tracked second-moment form against
 moments computed directly, the complement identity, the inv/maj
 distribution DP and the undone sort behind the sor distribution against the
-class scored word by word and against the closed forms, and the Gaussian
+class scored word by word and against the closed forms, the copy-label-max
+prefix DP against shards sorted word by word, and the Gaussian
 multinomial's product formula against box-partition counts and the DP."""
 
 from collections import Counter
@@ -24,6 +25,7 @@ from mahonian import (
     OrderedBipartition,
     QPolynomial,
     Relation,
+    TIE_COPY_LABEL_MAX,
     TIE_LEFTMOST,
     TIE_RIGHTMOST,
     TIE_RULES,
@@ -443,6 +445,38 @@ def test_unsorting_matches_the_closed_form(case):
     closed = gf_sorting(alpha, to_ordered_bipartition(relation))
     got = distribution("sor-graphical", alpha, relation, tie_rule=TIE_RIGHTMOST)
     assert got == closed
+
+
+@st.composite
+def sorting_shards(draw):
+    """A relation on n <= 4 letters from a random mask, a class with counts
+    0..3 and at most 9 letters, and a range [a, b) of its ranks."""
+    n = draw(st.integers(1, 4))
+    relation = relation_from_mask(n, draw(st.integers(0, (1 << (n * n)) - 1)))
+    counts = draw(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(
+            lambda counts: sum(counts) <= 9
+        )
+    )
+    alpha = MultiplicityVector(tuple(counts))
+    a = draw(st.integers(0, class_size(alpha)))
+    b = draw(st.integers(a, class_size(alpha)))
+    return relation, alpha, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(sorting_shards())
+def test_prefix_dp_matches_the_sorted_shard(case):
+    """The copy-label-max worker's DP over sort prefixes, on any shard of
+    the class, packs the same lanes as the shard sorted word by word with
+    the public kernel."""
+    relation, alpha, a, b = case
+    width = class_size(alpha).bit_length()
+    expected = sum(
+        1 << graphical_sorting_index(relation, word, TIE_COPY_LABEL_MAX) * width
+        for word in rearrangement_class_range(alpha, a, b)
+    )
+    assert oracle._sorting_worker((relation.edges, alpha, width, a, b)) == expected
 
 
 @st.composite
