@@ -7,11 +7,11 @@ step can be undone in as many ways as the tie rule allows, and the undone
 steps from the sorted word reach every word of the class once, adding up
 its index on the way, so no word is sorted.  Under copy-label-max with a
 repeated letter the mover depends on the copies' original positions, which
-a partly undone word does not record, so that one case sorts every word,
-merging the words whose sorts reach the same prefix.  All three routes
-pack a distribution into one integer, a lane of size.bit_length() bits per
-power of q for a class of size words: no count they add up exceeds the
-class size, so no lane overflows.
+a partly undone word does not record, so that one case walks the class as
+standardized permutations and sorts them as a DP over shared prefixes.
+All three routes pack a distribution into one integer, a lane of
+size.bit_length() bits per power of q for a class of size words: no count
+they add up exceeds the class size, so no lane overflows.
 
 The verifiers cover every relation on the alphabet (all 2^(n*n) bitmasks)
 and compare two routes, the structural predicate and equidistribution over
@@ -77,7 +77,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, repeat
+from itertools import chain, islice, repeat
 from operator import add, mul, sub
 from typing import Iterator, Sequence
 
@@ -104,9 +104,9 @@ from .words import (
     _check_alphabet_size,
     _check_class,
     _check_int,
+    _standardized_range,
     class_size,
     rearrangement_class,
-    rearrangement_class_range,
 )
 
 STAT_IDS = ("inv", "maj", "sor", "inv-graphical", "maj-graphical", "sor-graphical")
@@ -272,22 +272,24 @@ def _sorting_worker(job) -> int:
     value i (a copy of ordered[i]) from j and adds its related values in
     p[j+1..i].  The rest depends only on the prefix of length i left, so a
     layer maps each prefix to the packed polynomial of the words reaching
-    it.  Each run of _SORT_RUN words frees its layers before the next.
+    it.  The first step reads each p as _standardized_range yields it; runs
+    of _SORT_RUN words share one walk, each freeing its layers before the next.
     """
     edges, alpha, width, start, stop = job
     ordered = [x for x, a in enumerate(alpha.counts, 1) for _ in range(a)]
+    if not ordered:
+        return stop - start
     related = [[width * ((x, y) in edges) for y in ordered] for x in ordered]
-    below, packed = [0, *accumulate(alpha.counts)], 0
-    def standardized(run):  # each word as (p, 1), made as its first step reads it
-        for word in rearrangement_class_range(alpha, run, min(run + _SORT_RUN, stop)):
-            seen, p = below[:], []  # seen[x - 1]: letters below x, then copies seen
-            for x in word.letters:
-                p.append(seen[x - 1])
-                seen[x - 1] += 1
-            yield tuple(p), 1
-    for run in range(start, stop, _SORT_RUN):
-        layer = standardized(run)
-        for i in range(len(ordered) - 1, 0, -1):
+    last, packed, walk = len(ordered) - 1, 0, _standardized_range(alpha, start, stop)
+    for _ in range(start, stop, _SORT_RUN):
+        row, first = related[last], {}
+        for p in islice(walk, _SORT_RUN):
+            j = p.index(last)
+            gain = sum(map(row.__getitem__, p[j + 1 :]))
+            state = (*p[:j], p[last], *p[j + 1 : last]) if j < last else tuple(p[:last])
+            first[state] = first.get(state, 0) + (1 << gain)
+        layer = first.items()
+        for i in range(last - 1, 0, -1):
             row, following = related[i], {}
             for prefix, poly in layer:
                 j = prefix.index(i)

@@ -30,7 +30,7 @@ from .relations import (
     from_ordered_bipartition,
     satisfies_sorting_conditions,
 )
-from .words import PRINTABLE_DIGITS, MultiplicityVector, _digits
+from .words import MultiplicityVector, _digits_past
 
 
 # Largest degree q_multinomial computes: at the cap, equal parts such as
@@ -173,12 +173,13 @@ def _check_degree(parts: Sequence[int], shift: int = 0) -> None:
         )
 
 
-def _check_size(parts: Sequence[int], scalar: int = 1) -> None:
-    """Raise when the class size, scalar times the multinomial of the parts
-    and a bound on every coefficient, has more than PRINTABLE_DIGITS digits."""
-    size = multinomial(parts) * scalar
-    if size >= 10**PRINTABLE_DIGITS:
-        raise SizeCapExceeded(f"class size has {_digits(size)} digits, too many to print")
+def _check_size(parts: Sequence[int]) -> None:
+    """Raise when the multinomial of the parts (for a class's counts its size,
+    bounding every coefficient) has more than PRINTABLE_DIGITS digits."""
+    past = _digits_past(parts)
+    if past:
+        digits = f"{'' if past[1] else 'at least '}{past[0]}"
+        raise SizeCapExceeded(f"class size has {digits} digits, too many to print")
 
 
 def q_multinomial(parts: Sequence[int]) -> QPolynomial:
@@ -236,14 +237,9 @@ def box_partition_counts(j: int, k: int) -> QPolynomial:
 
 def multinomial(parts: Sequence[int]) -> int:
     """Ordinary multinomial coefficient, exactly."""
-    result = 1
-    partial = 0
-    for p in parts:
-        if type(p) is not int or p < 0:
-            raise InvalidArguments(f"parts must be integers >= 0, got {parts!r}")
-        partial += p
-        result *= math.comb(partial, p)
-    return result
+    if any(type(p) is not int or p < 0 for p in parts):
+        raise InvalidArguments(f"parts must be integers >= 0, got {parts!r}")
+    return math.prod(map(math.comb, accumulate(parts), parts))
 
 
 def _block_data(alpha: MultiplicityVector, bp: OrderedBipartition):
@@ -252,15 +248,12 @@ def _block_data(alpha: MultiplicityVector, bp: OrderedBipartition):
         raise InvalidBipartition(
             f"blocks must partition 1..{alpha.n}, got letters {letters}"
         )
-    masses = []
-    scalar = 1
-    for block in bp.blocks:
-        block_counts = [alpha.count_of(x) for x in sorted(block)]
-        masses.append(sum(block_counts))
-        scalar *= multinomial(block_counts)
+    counts = [[alpha.count_of(x) for x in sorted(block)] for block in bp.blocks]
+    masses = [sum(block_counts) for block_counts in counts]
     shift = sum(math.comb(m, 2) for m, flag in zip(masses, bp.flags) if flag)
     _check_degree(masses, shift)
-    _check_size(masses, scalar)
+    _check_size(alpha.counts)  # the multinomial of the masses times scalar
+    scalar = math.prod(map(multinomial, counts))
     return masses, scalar, shift
 
 

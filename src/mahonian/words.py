@@ -7,13 +7,16 @@ lexicographic order.  Letters with a_i = 0 are legal and simply never occur.
 
 Everything here is exact integer arithmetic; enumeration is streaming, so the
 only guard is an explicit cap on the class size (ClassTooLarge), not memory.
-Every module sizes alphabets through _check_alphabet_size, capped here.
+A size far past a cap is refused from its math.lgamma estimate alone.  Every
+module sizes alphabets through _check_alphabet_size, capped here.  The
+sorting worker walks the class as standardized permutations, in place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -110,12 +113,7 @@ def make_word(letters: Sequence[int], alpha: MultiplicityVector) -> Word:
 
 def class_size(alpha: MultiplicityVector) -> int:
     """Number of words in the rearrangement class, exactly."""
-    size = 1
-    partial = 0
-    for a in alpha.counts:
-        partial += a
-        size *= math.comb(partial, a)
-    return size
+    return math.prod(map(math.comb, accumulate(alpha.counts), alpha.counts))
 
 
 def _check_int(name: str, value) -> None:
@@ -137,32 +135,47 @@ def _check_class(alpha: MultiplicityVector, max_class: int | None) -> int:
     (None disables the cap)."""
     if max_class is not None:
         _check_int("max_class", max_class)
+        past = _digits_past(alpha.counts, max_class)
+        if past:
+            shown = f"{'a' if past[1] else 'at least a'} {past[0]}-digit number of"
+            raise ClassTooLarge(f"class has {shown} words, cap is {max_class}")
     size = class_size(alpha)
     if max_class is not None and size > max_class:
-        shown = size if size < 10**PRINTABLE_DIGITS else f"a {_digits(size)}-digit number of"
-        raise ClassTooLarge(f"class has {shown} words, cap is {max_class}")
+        raise ClassTooLarge(f"class has {size} words, cap is {max_class}")
     return size
 
 
-def _digits(n: int) -> int:
-    """Digits of n >= 1 without str(n): those of the largest 2^k <= n, or one more."""
-    d = int((n.bit_length() - 1) * math.log10(2)) + 1
-    return d + (n >= 10**d)
+def _digits_past(parts: Sequence[int], cap: int = 0) -> tuple[int, bool] | None:
+    """(digits, exact) of the multinomial of the parts if past cap and not
+    printable, else None.  Its math.lgamma estimate, trusted to 2**-40 of
+    the terms, settles all but sizes next to the bound with no product."""
+    bound = max(math.log10(max(cap, 1)), PRINTABLE_DIGITS)
+    if sum(parts) <= 1e300:  # within float range
+        whole, terms = math.lgamma(sum(parts) + 1), sum(math.lgamma(a + 1) for a in parts)
+        size, error = (whole - terms) / math.log(10), 1e-9 + (whole + terms) * 2**-40
+        if abs(size - bound) > error:  # settled; the digits are exact if pinned
+            low = math.floor(size - error)
+            return (low + 1, low == math.floor(size + error)) if size > bound else None
+    size = math.prod(map(math.comb, accumulate(parts), parts))
+    if size <= max(cap, 10**PRINTABLE_DIGITS - 1):
+        return None
+    digits = int((size.bit_length() - 1) * math.log10(2)) + 1  # of the top 2^k, or one more
+    return digits + (size >= 10**digits), True
 
 
-def _next_permutation(a: list[int]) -> bool:
-    # Classic in-place successor in lexicographic order; False at the end.
+def _next_permutation(a: list[int]) -> int:
+    # In-place lexicographic successor; the first position changed, -1 at the end.
     i = len(a) - 2
     while i >= 0 and a[i] >= a[i + 1]:
         i -= 1
     if i < 0:
-        return False
+        return -1
     j = len(a) - 1
     while a[j] <= a[i]:
         j -= 1
     a[i], a[j] = a[j], a[i]
     a[i + 1 :] = a[: i : -1]
-    return True
+    return i
 
 
 def rearrangement_class(
@@ -216,9 +229,27 @@ def rearrangement_class_range(
     current = list(word.letters)
     yield word
     for _ in range(stop - start - 1):
-        if not _next_permutation(current):
+        if _next_permutation(current) < 0:
             break
         yield Word(tuple(current), alpha)
+
+
+def _standardized_range(alpha: MultiplicityVector, start: int, stop: int) -> Iterator[list]:
+    """Yield p for each word w of rank in [start, stop), one list updated in
+    place: p[h] is the letters below w_h plus the copies of w_h before h.  A
+    step relabels from its pivot on, the copies of x taking x's top labels."""
+    if start >= stop:
+        return
+    word = list(unrank_word(alpha, start).letters)
+    ends, p, pivot = [0, *accumulate(alpha.counts)], word[:], 0
+    for _ in range(stop - start):
+        top = ends[:]
+        for h in range(len(word) - 1, pivot - 1, -1):
+            x = word[h]
+            top[x] -= 1
+            p[h] = top[x]
+        yield p
+        pivot = _next_permutation(word)
 
 
 def parse_letters(text: str, n: int | None = None) -> tuple[int, ...]:

@@ -1,10 +1,12 @@
 """End-to-end runs of the command line, through run_cli."""
 
 import json
+import os
 import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -188,6 +190,25 @@ def test_sizes_past_the_digit_limit_exit_2(capsys):
             code, out, err = run(capsys, *argv, "--format", form)
             assert (code, out) == (2, ""), (argv[0], form)
             assert message in err, (argv[0], form)
+
+
+def test_huge_classes_are_refused_at_once(capsys):
+    """A class of 2,000,000 letters is refused from its size estimate, with
+    no exact product, well within a second."""
+    for argv, message in (
+        (["dist", "--alpha", "1000000,1000000", "--stat", "inv"], "602057-digit number of words"),
+        (
+            ["gf", "--alpha", "1000000,1000000", "--stat", "inv",
+             "--bipartition", '{"blocks":[[1,2]],"flags":[0]}'],
+            "class size has 602057 digits",
+        ),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (2, ""), argv[0]
+        assert message in err, argv[0]
+        assert elapsed < 1, f"{argv[0]} took {elapsed:.2f}s of its 1s budget"
 
 
 def test_gf_sorting_conditions_failure_exits_2(capsys):
@@ -489,6 +510,23 @@ def readme_examples():
 
 def masked(text):
     return re.sub(r"elapsed: [0-9.]+s", "elapsed: <t>", text)
+
+
+def test_package_runs_as_a_module_from_a_checkout():
+    """python -m mahonian, with only src on the path, runs README's dist
+    example and prints its documented output."""
+    argv = ["dist", "--alpha", "1,1,1", "--relation", "natural", "--stat", "inv"]
+    (output,) = [p.values[1] for p in readme_examples() if p.values[0] == argv]
+    src = str(README.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-m", "mahonian", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        cwd=README.parent,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "\n".join(output) + "\n"
 
 
 @pytest.mark.parametrize("argv, output", readme_examples())

@@ -7,7 +7,8 @@ relations, the sweep's incrementally tracked second-moment form against
 moments computed directly, the complement identity, the inv/maj
 distribution DP and the undone sort behind the sor distribution against the
 class scored word by word and against the closed forms, the copy-label-max
-prefix DP against shards sorted word by word, and the Gaussian
+prefix DP against shards sorted word by word, its walk of standardized
+permutations against the ranged class, and the Gaussian
 multinomial's product formula against box-partition counts and the DP."""
 
 from collections import Counter
@@ -57,6 +58,7 @@ from mahonian import (
 from mahonian.bcode import _block_structure
 from mahonian.relations import _sorting_bipartition
 from mahonian.statistics import _inversion_profile, _major_profile, _sorting_profile
+from mahonian.words import _standardized_range
 
 
 @st.composite
@@ -477,6 +479,24 @@ def test_prefix_dp_matches_the_sorted_shard(case):
         for word in rearrangement_class_range(alpha, a, b)
     )
     assert oracle._sorting_worker((relation.edges, alpha, width, a, b)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(sorting_shards())
+@example((relation_from_mask(2, 0), MultiplicityVector((0, 0)), 0, 1))
+@example((relation_from_mask(3, 0), MultiplicityVector((2, 0, 1)), 2, 2))
+def test_standardized_walk_matches_the_ranged_class(case):
+    """The in-place walk of standardized permutations yields, on any range
+    of ranks, the standardization of each word of the ranged class."""
+    _, alpha, a, b = case
+
+    def standardized(letters):
+        return tuple(
+            sum(y < x for y in letters) + letters[:h].count(x) for h, x in enumerate(letters)
+        )
+
+    expected = [standardized(w.letters) for w in rearrangement_class_range(alpha, a, b)]
+    assert [tuple(p) for p in _standardized_range(alpha, a, b)] == expected
 
 
 @st.composite

@@ -1,4 +1,5 @@
-"""Rearrangement classes: enumeration order, sizes, ranking, parsing."""
+"""Rearrangement classes: enumeration order, sizes and their estimate,
+ranking, parsing."""
 
 import itertools
 import math
@@ -11,8 +12,11 @@ from mahonian import (
     LetterOutOfRange,
     MultiplicityMismatch,
     MultiplicityVector,
+    OrderedBipartition,
+    SizeCapExceeded,
     Word,
     class_size,
+    gf_bipartitional,
     infer_alpha,
     make_word,
     parse_letters,
@@ -21,6 +25,7 @@ from mahonian import (
     render_letters,
     unrank_word,
 )
+from mahonian.words import _digits_past
 
 
 def brute_class(alpha):
@@ -198,3 +203,28 @@ def test_infer_alpha_caps_the_alphabet():
         with pytest.raises(InvalidArguments, match="alphabet size must be an integer"):
             infer_alpha(letters, n)
     assert infer_alpha([1000]).n == 1000
+
+
+@pytest.mark.parametrize("counts", [(9000, 9000), (5000, 4000, 3000), (40000, 3000), (3000,) * 5])
+def test_size_estimate_gives_the_exact_digit_count(counts):
+    """Past its bound, the class size's digit count comes from the lgamma
+    estimate without the product, or from the product next to the bound."""
+    size = class_size(MultiplicityVector(counts))
+    digits, exact = _digits_past(counts)
+    assert exact and 10 ** (digits - 1) <= size < 10**digits
+    assert _digits_past(counts, size - 1) == (digits, True)
+    assert _digits_past(counts, size) is None
+    assert _digits_past((2, 2), 5) is None  # past the cap, but printable
+
+
+def test_size_estimate_near_a_power_of_ten_gives_a_lower_bound():
+    """log10 of C(200014, 3280) is within the estimate's error of 7266, so
+    the estimate proves at least 7266 digits without pinning the count (it
+    has 7267), and both refusals say so."""
+    counts = (196_734, 3_280)
+    assert _digits_past(counts) == (7266, False)
+    assert 10**7266 <= math.comb(sum(counts), counts[1])
+    with pytest.raises(ClassTooLarge, match="at least a 7266-digit number of words"):
+        list(rearrangement_class(MultiplicityVector(counts)))
+    with pytest.raises(SizeCapExceeded, match="at least 7266 digits"):
+        gf_bipartitional(MultiplicityVector(counts), OrderedBipartition(({1, 2},), (0,)))
