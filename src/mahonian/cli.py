@@ -185,7 +185,7 @@ def _cmd_stats(args) -> int:
     if not letters:
         raise InvalidArguments("empty word")
     relation = _resolve_relation(
-        args, n_hint if n_hint is not None else max(letters)
+        args, n_hint if n_hint is not None else max(1, *letters)
     )
     if alpha is not None:
         make_word(letters, alpha)  # validates membership in the class
@@ -329,9 +329,8 @@ def _cmd_bcode(args) -> int:
         alpha = MultiplicityVector.parse(args.alpha) if args.alpha else None
         n_hint = args.n if args.n is not None else (alpha.n if alpha else None)
         letters = parse_letters(args.word, n_hint)
-        relation = _resolve_relation(
-            args, n_hint if n_hint is not None else max(letters, default=None)
-        )
+        hint = max(1, *letters) if letters else None
+        relation = _resolve_relation(args, n_hint if n_hint is not None else hint)
         word = (
             make_word(letters, alpha)
             if alpha is not None

@@ -2,16 +2,16 @@
 
 The inv and maj distributions come from a transfer-matrix DP over residual
 multiplicity vectors (plus the last letter for maj), which visits no word
-of the class.  The sorting index comes from undoing the selection sort: each
-step can be undone in as many ways as the tie rule allows, and the undone
-steps from the sorted word reach every word of the class once, adding up
-its index on the way, so no word is sorted.  Under copy-label-max with a
-repeated letter the mover depends on the copies' original positions, which
-a partly undone word does not record, so that one case walks the class as
-standardized permutations and sorts them as a DP over shared prefixes.
-All three routes pack a distribution into one integer, a lane of
-size.bit_length() bits per power of q for a class of size words: no count
-they add up exceeds the class size, so no lane overflows.
+of the class.  The sorting index comes from undoing the selection sort
+from the sorted word in layers too, merging the prefixes whose placed
+letters every later step reads alike, so it visits no word either.  Under
+copy-label-max with a repeated letter the mover depends on the copies'
+original positions, which a partly undone word does not record, so that
+one case walks the class as standardized permutations and sorts them as a
+DP over shared prefixes.  All three routes pack a distribution into one
+integer, a lane of size.bit_length() bits per power of q for a class of
+size words: no count they add up exceeds the class size, so no lane
+overflows.
 
 The verifiers cover every relation on the alphabet (all 2^(n*n) bitmasks)
 and compare two routes, the structural predicate and equidistribution over
@@ -203,60 +203,54 @@ def _unsort_histogram(edges, tie_rule: str, counts: tuple[int, ...], width: int)
     """Sorting-index distribution over the class, packed (see distribution),
     by undoing the selection sort from the sorted word, sorting no word.
 
-    Step t puts back x, the t-th smallest letter (counting from 0), into a
+    Step t puts back v, the t-th smallest letter (counting from 0), into a
     prefix p of length t that holds the t letters below it: appended
     (j = t), or put at j < t with p[j] moved to the end.  That undoes the
-    sort step moving x from j to t, which added #{h in [j, t) : (x, p[h])
-    in U}.  The tie rule says which j the sort picks: under rightmost
-    p[j..t-1] holds no x, and under leftmost p[0..j-1] holds none and
-    appending needs p to hold none.  The sort is deterministic, so every
-    word of the class is reached once, along the moves of its own sort, and
-    no lane counts past the class size.  Without repeated letters every j
-    is allowed and the rules agree, so any rule other than leftmost is read
-    as rightmost.
+    sort step moving v from j to t, which added #{h in [j, t) : (v, p[h])
+    in U}.  Under rightmost p[j..t-1] holds no v; under leftmost p[0..j-1]
+    holds none and appending needs p to hold none.  Without repeated
+    letters every j is allowed, so any other rule reads as rightmost.
 
-    The prefixes sit on an explicit stack (the one word of (600) is 600
-    levels deep).  A pair of U weighs a lane's width, so values count bits
-    and the last level adds 1 << value + gain without building the words.
+    Layer t maps each prefix to the packed polynomial of the prefixes that
+    reach it; the sort is deterministic, so distinct prefixes reach disjoint
+    sets of words and no lane counts past the class size.  Later steps read
+    a placed letter y only through its signature, the x >= v still to come
+    with (x, y) in U, so before the copies of v go back each y becomes the
+    least letter (or 0) with its signature and equal prefixes merge.  Gains
+    count bits, a pair of U weighing a lane's width, and the last step adds
+    the shifted polynomials, building no word.
     """
-    letters = [x for x, a in enumerate(counts, 1) for _ in range(a)]
-    if not letters:
-        return 1
-    letter_range = range(len(counts) + 1)
-    related = [[width * ((x, y) in edges) for y in letter_range] for x in letter_range]
-    last = len(letters) - 1
-    leftmost = tie_rule == TIE_LEFTMOST
-    packed, stack = 0, [([], 0)]
-    while stack:
-        prefix, value = stack.pop()
-        t = len(prefix)
-        x = letters[t]
-        row = related[x]
-        if leftmost:  # moves: (j, what the step added)
-            gain, moves = sum(map(row.__getitem__, prefix)), []
-            for j, y in enumerate(prefix):
-                moves.append((j, gain))
-                if y == x:
-                    break
-                gain -= row[y]
-            else:
-                moves.append((t, 0))
-        else:
-            gain, moves = 0, [(t, 0)]
-            for j in range(t - 1, -1, -1):
-                y = prefix[j]
-                if y == x:
-                    break
-                gain += row[y]
-                moves.append((j, gain))
-        if t == last:
-            for _, gain in moves:
-                packed += 1 << value + gain
-            continue
-        for j, gain in moves:
-            child = prefix + [x]
-            child[j], child[t] = x, child[j]
-            stack.append((child, value + gain))
+    letters = range(len(counts) + 1)
+    related = [[width * ((x, y) in edges) for y in letters] for x in letters]
+    leftmost, left, layer = tie_rule == TIE_LEFTMOST, sum(counts), {(): 1}
+    packed = 0 if left else 1  # the empty word
+    for v, copies in enumerate(counts, 1):
+        later, least, merged = [x for x in letters[v:] if counts[x - 1]], {}, {}
+        label = [
+            least.setdefault(tuple(related[x][y] for x in later), y) for y in range(v)
+        ]
+        for p, poly in layer.items():
+            p = tuple(map(label.__getitem__, p))
+            merged[p] = merged.get(p, 0) + poly
+        layer, row = merged, related[v]
+        for _ in range(copies):
+            left, following = left - 1, {}
+            for p, poly in layer.items():
+                # moves (j, what the step added), from the last j allowed down
+                j = p.index(v) if leftmost and v in p else len(p)
+                gain = sum(map(row.__getitem__, p[j:]))
+                moves = [(j, gain)]
+                while j and (leftmost or p[j - 1] != v):
+                    j -= 1
+                    gain += row[p[j]]
+                    moves.append((j, gain))
+                for j, gain in moves:
+                    if not left:
+                        packed += poly << gain
+                        continue
+                    child = p[:j] + (v,) + p[j + 1 :] + p[j : j + 1]
+                    following[child] = following.get(child, 0) + (poly << gain)
+            layer = following
     return packed
 
 
@@ -314,9 +308,10 @@ def distribution(
     coefficient of q^k counts the words with value k.
 
     inv and maj come from the transfer-matrix DP and sor from undoing the
-    sort.  Only sor under copy-label-max on a class with a repeated letter
-    enumerates the class, in up to jobs worker processes, merging shared
-    sort prefixes.  The class cap applies to all three.
+    sort in layers of merged prefixes.  Only sor under copy-label-max on a
+    class with a repeated letter enumerates the class, in up to jobs worker
+    processes, merging shared sort prefixes.  The class cap applies to all
+    three.
 
     Every route returns the polynomial packed into one integer, lane k of
     size.bit_length() bits holding the coefficient of q^k, so adding a

@@ -375,6 +375,18 @@ def test_alphabet_sizes_above_the_cap_exit_2(capsys):
         assert "alphabet size must be an integer in 1..1000" in err
 
 
+def test_a_word_with_no_positive_letter_names_the_letter(capsys):
+    """The alphabet inferred from the word is at least 1, so the letter check
+    reports the letter instead of the alphabet size blaming it."""
+    for argv in [
+        ("stats", "--word", "0", "--relation", "natural"),
+        ("bcode", "encode", "--word", "0", "--relation", "natural"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "letter 0 outside" in err, argv
+
+
 def test_relation_from_files(capsys, tmp_path):
     text_file = tmp_path / "relation.txt"
     text_file.write_text("2 1\n")

@@ -242,7 +242,10 @@ def test_inv_maj_distributions_of_a_long_word():
 
 def test_sor_distribution_of_a_large_class():
     """(3,3,3,3) has 369,600 words, past the default cap; undoing the sort
-    gives the closed form of the natural order within two seconds."""
+    gives the closed form of the natural order within two seconds.
+    (5,5,5,5) has about 1.17e10 words, out of reach of any route that
+    visits a word; the merged prefixes give the closed form, the
+    q-multinomial, within a second under each of rightmost and leftmost."""
     alpha = MultiplicityVector((3,) * 4)
     closed = gf_sorting(alpha, to_ordered_bipartition(natural_order(4)))
     start = time.perf_counter()
@@ -250,6 +253,15 @@ def test_sor_distribution_of_a_large_class():
     elapsed = time.perf_counter() - start
     assert got == closed and closed(1) == 369_600
     assert elapsed < 2, f"took {elapsed:.2f}s of its 2s budget"
+    alpha = MultiplicityVector((5,) * 4)
+    closed = gf_sorting(alpha, to_ordered_bipartition(natural_order(4)))
+    assert closed == q_multinomial(alpha.counts) and closed(1) == class_size(alpha)
+    for rule in (TIE_RIGHTMOST, TIE_LEFTMOST):
+        start = time.perf_counter()
+        got = distribution("sor", alpha, tie_rule=rule, max_class=None)
+        elapsed = time.perf_counter() - start
+        assert got == closed, rule
+        assert elapsed < 1, f"{rule} took {elapsed:.2f}s of its 1s budget"
 
 
 def test_copy_label_max_runs_keep_memory_flat():
@@ -313,13 +325,39 @@ def test_copy_label_max_sor_distribution_within_budget():
 def test_sor_distributions_of_a_long_word():
     """The one word of (600) is already sorted.  Under rightmost every step
     moves the last copy onto itself; under leftmost step t moves the first
-    copy past the t others, each a loop pair, so the index is 0 + ... + 599."""
+    copy past the t others, each a loop pair, so the index is 0 + ... + 599.
+    Each rule runs within a second, building prefixes up to 599 letters long."""
     alpha = MultiplicityVector((600,))
     u = Relation.from_pairs(1, [(1, 1)])
-    assert distribution("sor-graphical", alpha, u, tie_rule=TIE_RIGHTMOST) == 1
-    assert distribution(
-        "sor-graphical", alpha, u, tie_rule=TIE_LEFTMOST
-    ) == QPolynomial.monomial(179_700)
+    expected = {
+        TIE_RIGHTMOST: QPolynomial.one(),
+        TIE_LEFTMOST: QPolynomial.monomial(179_700),
+    }
+    for rule, polynomial in expected.items():
+        start = time.perf_counter()
+        got = distribution("sor-graphical", alpha, u, tie_rule=rule)
+        elapsed = time.perf_counter() - start
+        assert got == polynomial, rule
+        assert elapsed < 1, f"{rule} took {elapsed:.2f}s of its 1s budget"
+
+
+def test_unsorting_matches_the_sorted_class_under_every_small_relation():
+    """The sor distribution from the merged prefixes equals the class sorted
+    word by word under every relation on n <= 2 with counts 0..3, and under
+    all 512 relations on four classes of three letters, (1,0,2) with an
+    absent letter, which no signature reads: under rightmost and leftmost
+    always, and under every rule when no letter repeats."""
+    classes = [counts for n in (1, 2) for counts in itertools.product(range(4), repeat=n)]
+    classes += [(1, 1, 1), (2, 1, 1), (1, 0, 2), (2, 2, 1)]
+    for counts in classes:
+        alpha = MultiplicityVector(counts)
+        words = list(rearrangement_class(alpha))
+        rules = TIE_RULES if max(counts) <= 1 else (TIE_RIGHTMOST, TIE_LEFTMOST)
+        for relation, rule in itertools.product(relation_universe(alpha.n), rules):
+            values = Counter(graphical_sorting_index(relation, w, rule) for w in words)
+            expected = QPolynomial([values[k] for k in range(max(values) + 1)])
+            got = distribution("sor-graphical", alpha, relation, tie_rule=rule)
+            assert got == expected, (counts, relation_to_mask(relation), rule)
 
 
 def test_classical_sorting_index_is_mahonian_only_under_rightmost_and_leftmost():
