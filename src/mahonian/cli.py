@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .bcode import BCode, bcode_decode, bcode_encode
@@ -49,7 +48,6 @@ from .statistics import (
 from .words import (
     DEFAULT_MAX_CLASS,
     MultiplicityVector,
-    infer_alpha,
     make_word,
     parse_letters,
     render_letters,
@@ -60,18 +58,6 @@ TIE_RULE_FLAGS = {
     "leftmost": TIE_LEFTMOST,
     "rightmost": TIE_RIGHTMOST,
 }
-
-
-def _default_max_class() -> int:
-    raw = os.environ.get("MAHONIAN_MAX_CLASS")
-    if raw is None:
-        return DEFAULT_MAX_CLASS
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidArguments(
-            f"MAHONIAN_MAX_CLASS must be an integer, got {raw!r}"
-        )
 
 
 def _read_source(spec: str) -> str:
@@ -128,10 +114,26 @@ def _resolve_alpha(args) -> MultiplicityVector:
     return MultiplicityVector.parse(args.alpha)
 
 
+def _resolve_word(args, missing: str, *, nonempty: bool = False):
+    """The relation and the word of --word.  The alphabet size comes from
+    --n, then --alpha, then the word's largest letter.  With --alpha the word
+    is checked against that class and comes back as a Word, otherwise as its
+    bare letters."""
+    if args.word is None:
+        raise InvalidArguments(missing)
+    alpha = MultiplicityVector.parse(args.alpha) if args.alpha else None
+    n = args.n if args.n is not None else (alpha.n if alpha else None)
+    letters = parse_letters(args.word, n)
+    if nonempty and not letters:
+        raise InvalidArguments("empty word")
+    if n is None and letters:
+        n = max(1, *letters)
+    relation = _resolve_relation(args, n)
+    return relation, make_word(letters, alpha) if alpha else letters
+
+
 def _resolve_tie_rule(args) -> str:
-    if args.tie_rule is None:
-        return DEFAULT_TIE_RULE
-    return TIE_RULE_FLAGS[args.tie_rule]
+    return TIE_RULE_FLAGS.get(args.tie_rule, DEFAULT_TIE_RULE)
 
 
 def _emit(args, text_value: str, json_value) -> None:
@@ -177,27 +179,19 @@ def _add_tie_rule(parser):
 
 
 def _cmd_stats(args) -> int:
-    alpha = MultiplicityVector.parse(args.alpha) if args.alpha else None
-    if args.word is None:
-        raise InvalidArguments("--word is required")
-    n_hint = args.n if args.n is not None else (alpha.n if alpha else None)
-    letters = parse_letters(args.word, n_hint)
-    if not letters:
-        raise InvalidArguments("empty word")
-    relation = _resolve_relation(
-        args, n_hint if n_hint is not None else max(1, *letters)
-    )
-    if alpha is not None:
-        make_word(letters, alpha)  # validates membership in the class
+    relation, word = _resolve_word(args, "--word is required", nonempty=True)
     tie_rule = _resolve_tie_rule(args)
 
-    descents = sorted(graphical_descent_set(relation, letters))
-    values = {
-        "inv": graphical_inversions(relation, letters),
-        "des": len(descents),
-        "maj": sum(descents),
-        "sor": graphical_sorting_index(relation, letters, tie_rule),
-    }
+    descents = sorted(graphical_descent_set(relation, word))
+    inv = graphical_inversions(relation, word)
+    # the trace's steps sum to the index, so a traced request sorts once
+    trace = None
+    if args.trace and args.stat is None:
+        trace = graphical_sorting_trace(relation, word, tie_rule)
+        sor = trace.total
+    else:
+        sor = graphical_sorting_index(relation, word, tie_rule)
+    values = {"inv": inv, "des": len(descents), "maj": sum(descents), "sor": sor}
     if args.stat is not None:
         _emit(args, str(values[args.stat]), {args.stat: values[args.stat]})
         return 0
@@ -205,29 +199,18 @@ def _cmd_stats(args) -> int:
     lines = [f"{name} {value}" for name, value in values.items()]
     payload = dict(values)
     payload["descent_set"] = descents
-    if args.trace:
-        trace = graphical_sorting_trace(relation, letters, tie_rule)
+    if trace is not None:
+        steps = [
+            {"j": step.mover_position, "i": step.target_position,
+             "letter": step.letter, "contribution": step.contribution}
+            for step in trace.steps
+        ]
+        final = render_letters(trace.final_letters, relation.n)
         lines.append(f"trace (tie rule {tie_rule}):")
         lines.append("j i letter contribution")
-        for step in trace.steps:
-            lines.append(
-                f"{step.mover_position} {step.target_position}"
-                f" {step.letter} {step.contribution}"
-            )
-        lines.append(f"final {render_letters(trace.final_letters, relation.n)}")
-        payload["trace"] = {
-            "tie_rule": tie_rule,
-            "steps": [
-                {
-                    "j": step.mover_position,
-                    "i": step.target_position,
-                    "letter": step.letter,
-                    "contribution": step.contribution,
-                }
-                for step in trace.steps
-            ],
-            "final": render_letters(trace.final_letters, relation.n),
-        }
+        lines += [" ".join(map(str, step.values())) for step in steps]
+        lines.append(f"final {final}")
+        payload["trace"] = {"tie_rule": tie_rule, "steps": steps, "final": final}
     _emit(args, "\n".join(lines), payload)
     return 0
 
@@ -265,8 +248,11 @@ def _cmd_gf(args) -> int:
         if args.stat == "sor":
             # loops on letters occurring <= once never affect statistics,
             # so recovery works on the stripped core
-            relation = effective_core(relation, alpha)
-        bp = to_ordered_bipartition(relation)
+            bp = to_ordered_bipartition(effective_core(relation, alpha))
+        else:
+            # by Theorem 1, a loop change on letters occurring once keeps inv and maj
+            witness = is_essentially_bipartitional(relation, alpha)
+            bp = witness.bipartition if witness else None
         if bp is None:
             raise InvalidArguments(
                 "relation is not bipartitional, so it has no generating function here"
@@ -324,20 +310,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_bcode(args) -> int:
     if args.action == "encode":
-        if args.word is None:
-            raise InvalidArguments("--word is required for encode")
-        alpha = MultiplicityVector.parse(args.alpha) if args.alpha else None
-        n_hint = args.n if args.n is not None else (alpha.n if alpha else None)
-        letters = parse_letters(args.word, n_hint)
-        hint = max(1, *letters) if letters else None
-        relation = _resolve_relation(args, n_hint if n_hint is not None else hint)
-        word = (
-            make_word(letters, alpha)
-            if alpha is not None
-            else make_word(letters, infer_alpha(letters, relation.n))
-        )
-        code = bcode_encode(relation, word)
-        _emit(args, json.dumps(code.to_json_dict()), code.to_json_dict())
+        relation, word = _resolve_word(args, "--word is required for encode")
+        code = bcode_encode(relation, word).to_json_dict()
+        _emit(args, json.dumps(code), code)
         return 0
     # decode
     alpha = _resolve_alpha(args)
@@ -411,8 +386,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument(
         "--max-class",
         type=int,
-        default=None,
-        help="enumeration cap (default MAHONIAN_MAX_CLASS or 10^7)",
+        default=DEFAULT_MAX_CLASS,
+        help="enumeration cap (default 10^7)",
     )
     p.set_defaults(handler=_cmd_dist)
 
@@ -455,7 +430,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         help="largest alphabet the sweep will accept",
     )
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    p.add_argument("--max-class", type=int, default=None)
+    p.add_argument("--max-class", type=int, default=DEFAULT_MAX_CLASS)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("chainword", help="word built from longest relation chains")
@@ -479,8 +454,6 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if hasattr(args, "max_class") and args.max_class is None:
-            args.max_class = _default_max_class()
         return args.handler(args)
     except MahonianError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from mahonian import statistics
 from mahonian.cli import run_cli
 
 CHAIN_EDGES = "5 3;4 3;5 2;5 1;4 2;4 1;3 2;3 1"
@@ -67,6 +68,23 @@ def test_stats_trace_output(capsys):
     assert len(payload["trace"]["steps"]) == 4
 
 
+def test_a_stats_request_sorts_once(capsys, monkeypatch):
+    """A traced request takes sor from the trace, in text and in JSON."""
+    passes = []
+    sort_moves = statistics._sort_moves
+
+    def counted(letters, tie_rule):
+        passes.append(tie_rule)
+        return sort_moves(letters, tie_rule)
+
+    monkeypatch.setattr(statistics, "_sort_moves", counted)
+    base = ["stats", "--word", "143123123", "--relation", "natural"]
+    for extra in (["--trace"], ["--trace", "--format", "json"], []):
+        passes.clear()
+        code, _, _ = run(capsys, *base, *extra)
+        assert (code, len(passes)) == (0, 1), extra
+
+
 def test_stats_validates_word_against_alpha(capsys):
     code, _, err = run(
         capsys, "stats", "--word", "121", "--alpha", "1,2", "--relation", "natural"
@@ -113,18 +131,9 @@ def test_dist_class_cap_flag_and_env(capsys, monkeypatch):
     assert code == 2
     assert "cap is 5" in err
 
+    # the cap has one channel, the flag: the environment is not read
     monkeypatch.setenv("MAHONIAN_MAX_CLASS", "5")
-    code, _, err = run(capsys, "dist", "--alpha", "2,2", "--stat", "inv")
-    assert code == 2
-    assert "cap is 5" in err
-
-    monkeypatch.setenv("MAHONIAN_MAX_CLASS", "abc")
-    code, _, err = run(capsys, "dist", "--alpha", "2,2", "--stat", "inv")
-    assert code == 2
-    assert "MAHONIAN_MAX_CLASS must be an integer" in err
-
-    monkeypatch.setenv("MAHONIAN_MAX_CLASS", "6")
-    code, out, _ = run(capsys, "dist", "--alpha", "2,2", "--stat", "inv")
+    code, _, _ = run(capsys, "dist", "--alpha", "2,2", "--stat", "inv")
     assert code == 0
 
 
@@ -163,6 +172,36 @@ def test_gf_rejects_non_bipartitional_relations(capsys):
     )
     assert code == 2
     assert "not bipartitional" in err
+
+
+def test_gf_answers_for_every_essentially_bipartitional_relation(capsys):
+    """gf --stat inv|maj exits 0 with dist's polynomial exactly when check
+    essential finds a witness, and 2 otherwise: every relation on n <= 2
+    with counts 0..2, and all 512 relations on (1,1,1) and (1,2,1)."""
+    classes = [(a,) for a in range(3)]
+    classes += [(a, b) for a in range(3) for b in range(3)]
+    classes += [(1, 1, 1), (1, 2, 1)]
+    accepted = 0
+    for counts in classes:
+        n = len(counts)
+        pairs = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+        for mask in range(2 ** len(pairs)):
+            edges = ";".join(
+                f"{x} {y}" for bit, (x, y) in enumerate(pairs) if mask >> bit & 1
+            )
+            given = ["--alpha", ",".join(map(str, counts)), "--n", str(n),
+                     "--edges", edges]
+            essential, _, _ = run(capsys, "check", "essential", *given)
+            accepted += essential == 0
+            for stat in ("inv", "maj"):
+                code, out, _ = run(capsys, "gf", "--stat", stat, *given)
+                if essential == 0:
+                    assert code == 0, (stat, counts, edges)
+                    dist = run(capsys, "dist", "--stat", f"{stat}-graphical", *given)
+                    assert out == dist[1], (stat, counts, edges)
+                else:
+                    assert (essential, code) == (1, 2), (counts, edges)
+    assert accepted == 390
 
 
 def test_gf_above_the_degree_cap_exits_2(capsys):
@@ -478,11 +517,13 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_console_script_entry_point():
+    src = str(Path(__file__).resolve().parent.parent / "src")
     result = subprocess.run(
         [sys.executable, "-m", "mahonian.cli", "stats", "--word", "2413576",
          "--relation", "natural", "--stat", "sor"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert result.returncode == 0
     assert result.stdout == "5\n"
