@@ -121,7 +121,7 @@ def _resolve_word(args, missing: str, *, nonempty: bool = False):
     bare letters."""
     if args.word is None:
         raise InvalidArguments(missing)
-    alpha = MultiplicityVector.parse(args.alpha) if args.alpha else None
+    alpha = None if args.alpha is None else MultiplicityVector.parse(args.alpha)
     n = args.n if args.n is not None else (alpha.n if alpha else None)
     letters = parse_letters(args.word, n)
     if nonempty and not letters:

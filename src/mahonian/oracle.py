@@ -1,8 +1,9 @@
 """Exact distributions and exhaustive equidistribution sweeps.
 
 The inv and maj distributions come from a transfer-matrix DP over residual
-multiplicity vectors (plus the last letter for maj), which visits no word
-of the class.  The sorting index comes from undoing the selection sort
+multiplicity vectors, each packed into one int with a field per letter
+present (for maj, a list per residual indexed by the last letter), which
+visits no word of the class.  The sorting index comes from undoing the selection sort
 from the sorted word in layers too, merging the prefixes whose placed
 letters every later step reads alike, so it visits no word either.  Under
 copy-label-max with a repeated letter the mover depends on the copies'
@@ -74,7 +75,7 @@ from __future__ import annotations
 
 import os
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, repeat
@@ -104,6 +105,7 @@ from .words import (
     _check_alphabet_size,
     _check_class,
     _check_int,
+    _packed_residual,
     _standardized_range,
     class_size,
     rearrangement_class,
@@ -169,34 +171,50 @@ def _transfer_polynomial(base: str, edges, counts: tuple[int, ...], width: int) 
     """Distribution of inv or maj over the class, packed (see distribution),
     by a transfer-matrix DP that places letters without visiting a word.
 
-    Layer k holds, for each state, the packed polynomial of the statistic
-    over the prefixes of length k that lead to it.  A state is the residual
-    multiplicity vector, and for maj also the last letter placed (0 before
-    the first).  Placing x adds to inv the letters y with (x, y) in the
-    relation still to come after it, which the residual vector counts; it
-    adds to maj the k letters already placed when (last, x) is a pair.
-    Distinct prefixes of one length extend to disjoint sets of words, so no
-    partial count exceeds the class size and no lane overflows.
+    Layer k maps each state to the packed polynomial of the statistic over
+    the prefixes of length k that lead to it; distinct prefixes of one
+    length extend to disjoint sets of words, so no lane overflows.  The
+    residual multiplicity vector is one int laid out by _packed_residual,
+    the relation read on the labels 1..m of the m letters present: absent
+    letters add to neither statistic.  Placing x adds to inv the y with
+    (x, y) in U still to come, field m + 1 of rest * spread[x], which holds
+    a 1 at field m + 1 - y per such y; a field of the product sums counts at
+    most total < 2^f, so no carry crosses fields.  Placing x adds to maj the
+    k letters placed when (last, x) is in U, so a maj state maps to a list
+    indexed by the last letter (0 before the first).  Its child (rest, x)
+    pulls from the one residual rest + 1 << f*x, shifting by k lanes the
+    lasts l with (l, x) in U, so no child is written twice.
     """
-    n = len(counts)
-    after = [[y for y in range(n) if (x + 1, y + 1) in edges] for x in range(n)]
-    layer = {(counts, 0): 1}
+    present, f, start = _packed_residual(counts)
+    letters, top = range(1, len(present) + 1), f * (len(present) + 1)
+    mask, units = (1 << f) - 1, [1 << f * x for x in letters]
+    fields = [unit * mask for unit in units]
+    if base == "inv":
+        ends = units[::-1]
+        spread = [sum(w for w, v in zip(ends, present) if (u, v) in edges) for u in present]
+        layer = {start: 1}
+        for _ in range(sum(counts)):
+            following = defaultdict(int)
+            for residual, poly in layer.items():
+                for field, unit, row in zip(fields, units, spread):
+                    if residual & field:
+                        rest = residual - unit
+                        following[rest] += poly << (rest * row >> top & mask) * width
+            layer = following
+        return layer[0]
+    into = [[l for l, u in zip(letters, present) if (u, v) in edges] for v in present]
+    zeros = [0] * (len(present) + 1)
+    layer = {start: [1, *zeros[1:]]}
     for placed in range(sum(counts)):
-        following: dict = {}
-        for (residual, last), packed in layer.items():
-            for x, left in enumerate(residual):
-                if not left:
-                    continue
-                rest = residual[:x] + (left - 1,) + residual[x + 1 :]
-                if base == "inv":
-                    shift = sum(rest[y] for y in after[x])
-                    state = (rest, 0)
-                else:
-                    shift = placed if (last, x + 1) in edges else 0
-                    state = (rest, x + 1)
-                following[state] = following.get(state, 0) + (packed << shift * width)
+        following, shift = defaultdict(zeros.copy), placed * width
+        for residual, polys in layer.items():
+            whole = sum(polys)
+            for x, field, unit, lasts in zip(letters, fields, units, into):
+                if residual & field:
+                    hit = sum(map(polys.__getitem__, lasts))
+                    following[residual - unit][x] = whole - hit + (hit << shift)
         layer = following
-    return sum(layer.values())
+    return sum(layer[0])
 
 
 def _unsort_histogram(edges, tie_rule: str, counts: tuple[int, ...], width: int) -> int:

@@ -45,7 +45,7 @@ from typing import Sequence
 
 from .errors import AlphabetMismatch, InvalidArguments, SizeCapExceeded
 from .relations import Relation, _check_same_alphabet
-from .words import MultiplicityVector, Word, _check_int
+from .words import MultiplicityVector, Word, _check_int, _packed_residual
 
 TIE_COPY_LABEL_MAX = "copy-label-max"
 TIE_LEFTMOST = "leftmost"
@@ -263,9 +263,10 @@ def maximal_chain_word(
     order: the first chain peeled ends up rightmost.
 
     The search is exact and memoized over the states the peeling reaches,
-    (residual multiplicity vector, last letter or 0 before the first),
-    hence the size cap.  It keeps its own stack, since a chain may be longer
-    than the interpreter's recursion limit.
+    hence the size cap.  A state is one int: the residual multiplicity
+    vector laid out by words._packed_residual, with the last letter's label
+    (0 before the first) in the free low field.  It keeps its own stack,
+    since a chain may be longer than the interpreter's recursion limit.
     """
     _check_same_alphabet(relation, alpha)
     _check_int("max_total", max_total)
@@ -274,11 +275,18 @@ def maximal_chain_word(
             f"class mass {alpha.total} exceeds the chain-search cap {max_total}"
         )
     edges = relation.edges
-    n = alpha.n
-    memo: dict[tuple[tuple[int, ...], int], int] = {}
-    # the states a state moves to, largest letter first, so the first
-    # longest move gives the lexicographically largest chain
-    moves: dict[tuple[tuple[int, ...], int], list] = {}
+    present, f, state = _packed_residual(alpha.counts)
+    mask, labels = (1 << f) - 1, [0, *present]
+    # after[last]: (field, step) per letter x that may follow last, largest
+    # first, so the first longest move gives the lexicographically largest
+    # chain; placing x takes the residual to residual - step, last x
+    after = [
+        [(mask << f * x, (1 << f * x) - x) for x in range(len(present), 0, -1)
+         if not last or (labels[last], labels[x]) in edges]
+        for last in range(len(labels))
+    ]
+    memo: dict[int, int] = {}
+    moves: dict[int, list[int]] = {}
 
     def settle(start) -> None:
         # a state is settled when it is back on top of the stack: every
@@ -291,25 +299,21 @@ def maximal_chain_word(
             elif state in moves:
                 memo[state] = 1 + max([memo[move] for move in moves[state]], default=-1)
             else:
-                counts, last = state
+                last = state & mask
                 moves[state] = [
-                    (counts[: x - 1] + (counts[x - 1] - 1,) + counts[x:], x)
-                    for x in range(n, 0, -1)
-                    if counts[x - 1] and (last == 0 or (last, x) in edges)
+                    state - last - step for field, step in after[last] if state & field
                 ]
                 stack += moves[state]
 
-    counts = alpha.counts
     chains: list[list[int]] = []
-    while sum(counts) > 0:
-        state = (counts, 0)
+    while state:
         settle(state)
         chain = []
         while memo[state]:
             length = memo[state] - 1
             state = next(move for move in moves[state] if memo[move] == length)
-            chain.append(state[1])
-        counts = state[0]
+            chain.append(labels[state & mask])
+        state -= state & mask
         chains.append(chain)
     letters = [x for chain in reversed(chains) for x in chain]
     return Word(tuple(letters), alpha)

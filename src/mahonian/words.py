@@ -116,6 +116,17 @@ def class_size(alpha: MultiplicityVector) -> int:
     return math.prod(map(math.comb, accumulate(alpha.counts), alpha.counts))
 
 
+def _packed_residual(counts: Sequence[int]) -> tuple[list[int], int, int]:
+    """(present, f, packed): the letters with a nonzero count, in order, and
+    their counts packed one field of f = total.bit_length() bits each, that
+    of letter i = 1..len(present) (present[i - 1]) at bit f*i, so placing it
+    subtracts 1 << f*i.  Field 0 is free for a label, which f bits hold: no
+    more letters are present than copies."""
+    present = [x for x, a in enumerate(counts, 1) if a]
+    f = sum(counts).bit_length()
+    return present, f, sum(counts[x - 1] << f * i for i, x in enumerate(present, 1))
+
+
 def _check_int(name: str, value) -> None:
     # type() rather than isinstance(): bool is an int subclass
     if type(value) is not int:

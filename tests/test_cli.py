@@ -94,6 +94,23 @@ def test_stats_validates_word_against_alpha(capsys):
     assert "usage: mahonian stats" in err
 
 
+def test_stats_rejects_an_empty_alpha(capsys):
+    code, out, err = run(
+        capsys, "stats", "--word", "21", "--alpha", "", "--relation", "natural",
+        "--stat", "inv",
+    )
+    assert (code, out) == (2, "")
+    assert "cannot parse multiplicity vector from ''" in err
+
+
+def test_bcode_encode_rejects_an_empty_alpha(capsys):
+    code, out, err = run(
+        capsys, "bcode", "encode", "--word", "21", "--alpha", "", "--relation", "natural"
+    )
+    assert (code, out) == (2, "")
+    assert "cannot parse multiplicity vector from ''" in err
+
+
 def test_stats_requires_a_relation(capsys):
     code, _, err = run(capsys, "stats", "--word", "121")
     assert code == 2

@@ -28,6 +28,7 @@ from mahonian import (
     TIE_RULES,
     UniverseTooLarge,
     class_size,
+    complement,
     distribution,
     equidistributed,
     from_ordered_bipartition,
@@ -358,6 +359,41 @@ def test_unsorting_matches_the_sorted_class_under_every_small_relation():
             expected = QPolynomial([values[k] for k in range(max(values) + 1)])
             got = distribution("sor-graphical", alpha, relation, tie_rule=rule)
             assert got == expected, (counts, relation_to_mask(relation), rule)
+
+
+def test_transfer_dp_matches_the_scored_class_under_every_small_relation():
+    """The inv and maj distributions from the packed-residual DP equal the
+    class scored word by word under every relation on n <= 2 with counts
+    0..2 (the empty classes (0,) and (0, 0) among them), under all 512
+    relations on three classes with n = 3, (2,0,1) relabelling the letter
+    after an absent one, and under three relations on (0,)*40 + (2,2,1), one
+    with pairs on absent letters."""
+    cases = [
+        (counts, relation)
+        for n in (1, 2)
+        for counts in itertools.product(range(3), repeat=n)
+        for relation in relation_universe(n)
+    ]
+    cases += [
+        (counts, relation)
+        for counts in ((1, 1, 1), (1, 2, 1), (2, 0, 1))
+        for relation in relation_universe(3)
+    ]
+    natural = natural_order(43)
+    pairs = [(41, 41), (42, 41), (41, 43), (43, 42), (42, 42), (1, 41), (42, 5)]
+    for relation in (natural, complement(natural), Relation.from_pairs(43, pairs)):
+        cases.append(((0,) * 40 + (2, 2, 1), relation))
+    for counts, relation in cases:
+        alpha = MultiplicityVector(counts)
+        words = list(rearrangement_class(alpha))
+        for stat, kernel in (
+            ("inv-graphical", graphical_inversions),
+            ("maj-graphical", graphical_major_index),
+        ):
+            values = Counter(kernel(relation, w) for w in words)
+            expected = QPolynomial([values[k] for k in range(max(values) + 1)])
+            got = distribution(stat, alpha, relation)
+            assert got == expected, (counts, relation_to_mask(relation), stat)
 
 
 def test_classical_sorting_index_is_mahonian_only_under_rightmost_and_leftmost():

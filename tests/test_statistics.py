@@ -1,6 +1,7 @@
 """Relation-driven statistics and the selection-sort index."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -248,3 +249,57 @@ def test_maximal_chain_word_size_cap():
 def test_maximal_chain_word_cap_must_be_an_integer(cap):
     with pytest.raises(InvalidArguments, match="max_total must be an integer"):
         maximal_chain_word(natural_order(2), MultiplicityVector((1, 1)), max_total=cap)
+
+
+def reference_chain_word(relation, alpha):
+    """The chain search over (residual multiplicity vector, last letter)
+    tuple states, with the same move order and explicit stack, as a slow
+    reference for the packed search."""
+    edges, n = relation.edges, alpha.n
+    memo, moves = {}, {}
+
+    def settle(start):
+        stack = [start]
+        while stack:
+            state = stack[-1]
+            if state in memo:
+                stack.pop()
+            elif state in moves:
+                memo[state] = 1 + max([memo[move] for move in moves[state]], default=-1)
+            else:
+                counts, last = state
+                moves[state] = [
+                    (counts[: x - 1] + (counts[x - 1] - 1,) + counts[x:], x)
+                    for x in range(n, 0, -1)
+                    if counts[x - 1] and (last == 0 or (last, x) in edges)
+                ]
+                stack += moves[state]
+
+    counts = alpha.counts
+    chains = []
+    while sum(counts) > 0:
+        state = (counts, 0)
+        settle(state)
+        chain = []
+        while memo[state]:
+            length = memo[state] - 1
+            state = next(move for move in moves[state] if memo[move] == length)
+            chain.append(state[1])
+        counts = state[0]
+        chains.append(chain)
+    return tuple(x for chain in reversed(chains) for x in chain)
+
+
+def test_maximal_chain_word_matches_the_tuple_state_search():
+    """The packed-state search gives the reference's word under all 512
+    relations on (2,1,2), and under 150 seeded relations on each of
+    (3,2,3,2), (2,2,1,1) and (2,0,1,2), whose absent letter is relabelled."""
+    cases = [((2, 1, 2), mask) for mask in range(1 << 9)]
+    rng = random.Random(17)
+    for counts in ((3, 2, 3, 2), (2, 2, 1, 1), (2, 0, 1, 2)):
+        cases += [(counts, rng.randrange(1 << 16)) for _ in range(150)]
+    for counts, mask in cases:
+        alpha = MultiplicityVector(counts)
+        relation = relation_from_mask(alpha.n, mask)
+        got = maximal_chain_word(relation, alpha).letters
+        assert got == reference_chain_word(relation, alpha), (counts, mask)
