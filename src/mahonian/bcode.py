@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from .errors import ConditionsNotSatisfied, InvalidCode
 from .relations import Relation, _sorting_bipartition
 from .statistics import TIE_RIGHTMOST, _contribution, _sort_moves
-from .words import MultiplicityVector, Word, infer_alpha, make_word
+from .words import MultiplicityVector, Word, infer_alpha
 
 BCODE_TIE_RULE = TIE_RIGHTMOST
 _PLAN_CACHE_SIZE = 32
@@ -85,21 +85,15 @@ class BCode:
             raise InvalidCode(f"malformed code object: {data!r} ({exc})")
 
 
-@dataclass(frozen=True)
-class _BlockInfo:
-    letters: tuple[int, ...]  # distinct letters, ascending
-    mass: int
-    two_letter: bool
-    copies: tuple[int, ...]  # all copies, ascending
-
-
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _block_structure(
     relation: Relation, alpha: MultiplicityVector
-) -> tuple[tuple[_BlockInfo, ...], tuple[int, ...], tuple[int, ...]]:
-    """The class's code plan: one _BlockInfo per block, the block of each
-    letter (indexed by letter) and the suffix masses.  Only successes are
-    cached, so a failing class raises, with fresh reasons, on every call."""
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+    """The class's code plan: each block's copies, ascending (so its mass is
+    their number, it has two letters when the ends differ, and its top letter
+    is the last), the block of each letter (indexed by letter) and the total
+    mass after each block.  Only successes are cached, so a failing class
+    raises, with fresh reasons, on every call."""
     bp, reasons = _sorting_bipartition(relation, alpha)
     ok = not reasons
     for x in range(1, alpha.n + 1):
@@ -120,25 +114,17 @@ def _block_structure(
             )
     if reasons:
         raise ConditionsNotSatisfied(reasons)
-    info = []
+    blocks = tuple(
+        tuple(x for x in sorted(block) for _ in range(alpha.count_of(x)))
+        for block in bp.blocks
+    )
     block_of = [0] * (alpha.n + 1)  # slot 0 unused
     for j, block in enumerate(bp.blocks):
-        letters = tuple(sorted(block))
-        copies = tuple(
-            x for x in letters for _ in range(alpha.count_of(x))
-        )
-        info.append(_BlockInfo(letters, len(copies), len(letters) == 2, copies))
-        for x in letters:
+        for x in block:
             block_of[x] = j
-    return tuple(info), tuple(block_of), _suffix_masses(info)
-
-
-def _suffix_masses(info: list[_BlockInfo]) -> tuple[int, ...]:
-    # suffix[j] = total multiplicity of blocks after j
-    suffix = [0] * len(info)
-    for j in range(len(info) - 2, -1, -1):
-        suffix[j] = suffix[j + 1] + info[j + 1].mass
-    return tuple(suffix)
+    # every letter occurs, so the blocks' copies make up the whole word
+    bounds = tuple(alpha.total - done for done in itertools.accumulate(map(len, blocks)))
+    return blocks, tuple(block_of), bounds
 
 
 def bcode_encode(relation: Relation, word) -> BCode:
@@ -148,18 +134,18 @@ def bcode_encode(relation: Relation, word) -> BCode:
     else:
         letters = tuple(word)
         alpha = infer_alpha(letters, relation.n)
-    info, block_of, _ = _block_structure(relation, alpha)
+    blocks, block_of, _ = _block_structure(relation, alpha)
 
-    contributions: list[list[int]] = [[] for _ in info]
-    markers = [0] * len(info)
+    contributions: list[list[int]] = [[] for _ in blocks]
+    markers = [0] * len(blocks)
     for j, i, work in _sort_moves(letters, BCODE_TIE_RULE):
         b = block_of[work[j]]
-        if not contributions[b] and info[b].two_letter:
+        copies = blocks[b]
+        if not contributions[b] and copies[0] != copies[-1]:
             # top letter's position among the block's copies, read just
             # before the block's first step
-            top = info[b].letters[-1]
             subword = [x for x in work if block_of[x] == b]
-            markers[b] = subword.index(top) + 1
+            markers[b] = subword.index(copies[-1]) + 1
         contributions[b].append(_contribution(relation.edges, j, i, work))
     partitions = tuple(
         tuple(sorted(block_contribs, reverse=True)) for block_contribs in contributions
@@ -172,36 +158,37 @@ def validate_code(relation: Relation, alpha: MultiplicityVector, code: BCode) ->
     the class: partition j has one part per copy in block j, nonincreasing,
     parts at most the later blocks' total multiplicity; markers are 0 for
     one-letter blocks and a copy position for two-letter blocks."""
-    info, _, suffix = _block_structure(relation, alpha)
-    _check_code(info, suffix, code)
+    blocks, _, bounds = _block_structure(relation, alpha)
+    _check_code(blocks, bounds, code)
 
 
 def _check_code(
-    info: tuple[_BlockInfo, ...], suffix: tuple[int, ...], code: BCode
+    blocks: tuple[tuple[int, ...], ...], bounds: tuple[int, ...], code: BCode
 ) -> None:
-    if len(code.partitions) != len(info):
+    if len(code.partitions) != len(blocks):
         raise InvalidCode(
-            f"expected {len(info)} partitions, got {len(code.partitions)}"
+            f"expected {len(blocks)} partitions, got {len(code.partitions)}"
         )
-    for j, (part, block) in enumerate(zip(code.partitions, info)):
+    for j, (part, copies) in enumerate(zip(code.partitions, blocks)):
         label = j + 1
-        if len(part) != block.mass:
+        mass = len(copies)
+        if len(part) != mass:
             raise InvalidCode(
-                f"partition {label} must have {block.mass} parts, got {len(part)}"
+                f"partition {label} must have {mass} parts, got {len(part)}"
             )
         if any(p < 0 for p in part):
             raise InvalidCode(f"partition {label} has a negative part")
         if any(part[t] < part[t + 1] for t in range(len(part) - 1)):
             raise InvalidCode(f"partition {label} is not nonincreasing: {part}")
-        if part and part[0] > suffix[j]:
+        if part and part[0] > bounds[j]:
             raise InvalidCode(
-                f"partition {label} has part {part[0]} exceeding the bound {suffix[j]}"
+                f"partition {label} has part {part[0]} exceeding the bound {bounds[j]}"
             )
         marker = code.markers[j]
-        if block.two_letter:
-            if not 1 <= marker <= block.mass:
+        if copies[0] != copies[-1]:
+            if not 1 <= marker <= mass:
                 raise InvalidCode(
-                    f"marker {label} must be between 1 and {block.mass}, got {marker}"
+                    f"marker {label} must be between 1 and {mass}, got {marker}"
                 )
         elif marker != 0:
             raise InvalidCode(
@@ -224,25 +211,21 @@ def bcode_decode(relation: Relation, alpha: MultiplicityVector, code: BCode) -> 
     move the small copies, and the top letter finally moves left by its part
     plus the number of copies that sat right of it, undoing its head start.
     """
-    info, _, suffix = _block_structure(relation, alpha)
-    _check_code(info, suffix, code)
+    blocks, _, bounds = _block_structure(relation, alpha)
+    _check_code(blocks, bounds, code)
     word: list[int] = []
-    for j in range(len(info) - 1, -1, -1):
-        block = info[j]
+    for j in range(len(blocks) - 1, -1, -1):
+        copies = blocks[j]
         parts = code.partitions[j]
         base = len(word)
-        word.extend(block.copies)
-        if block.two_letter:
-            p = code.markers[j]
-            top_part = parts[p - 1]
-            reduced = parts[: p - 1] + parts[p:]
-            for t, distance in enumerate(reduced):
-                _swap_left(word, base + t, distance)
-            _swap_left(word, base + block.mass - 1, top_part + block.mass - p)
-        else:
-            for t, distance in enumerate(parts):
-                _swap_left(word, base + t, distance)
-    return make_word(word, alpha)
+        word.extend(copies)
+        p = code.markers[j]  # 0 exactly for a one-letter block, once checked
+        for t, distance in enumerate(parts[: p - 1] + parts[p:] if p else parts):
+            _swap_left(word, base + t, distance)
+        if p:
+            _swap_left(word, len(word) - 1, parts[p - 1] + len(copies) - p)
+    # the replay only swaps the plan's copies, which hold alpha's multiset
+    return Word(tuple(word), alpha)
 
 
 def _bounded_partitions(length: int, bound: int):
@@ -256,14 +239,14 @@ def _bounded_partitions(length: int, bound: int):
 
 def enumerate_codes(relation: Relation, alpha: MultiplicityVector):
     """All valid codes for the class, in a fixed deterministic order."""
-    info, _, suffix = _block_structure(relation, alpha)
+    blocks, _, bounds = _block_structure(relation, alpha)
     part_choices = [
-        tuple(_bounded_partitions(block.mass, bound))
-        for block, bound in zip(info, suffix)
+        tuple(_bounded_partitions(len(copies), bound))
+        for copies, bound in zip(blocks, bounds)
     ]
     marker_choices = [
-        tuple(range(1, block.mass + 1)) if block.two_letter else (0,)
-        for block in info
+        tuple(range(1, len(copies) + 1)) if copies[0] != copies[-1] else (0,)
+        for copies in blocks
     ]
     for partitions in itertools.product(*part_choices):
         for markers in itertools.product(*marker_choices):
@@ -272,10 +255,10 @@ def enumerate_codes(relation: Relation, alpha: MultiplicityVector):
 
 def code_count(relation: Relation, alpha: MultiplicityVector) -> int:
     """Number of valid codes; matches the size of the rearrangement class."""
-    info, _, suffix = _block_structure(relation, alpha)
+    blocks, _, bounds = _block_structure(relation, alpha)
     total = 1
-    for block, bound in zip(info, suffix):
-        total *= math.comb(bound + block.mass, block.mass)
-        if block.two_letter:
-            total *= block.mass
+    for copies, bound in zip(blocks, bounds):
+        total *= math.comb(bound + len(copies), len(copies))
+        if copies[0] != copies[-1]:
+            total *= len(copies)
     return total

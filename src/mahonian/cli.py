@@ -387,7 +387,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "--max-class",
         type=int,
         default=DEFAULT_MAX_CLASS,
-        help="enumeration cap (default 10^7)",
+        help="refuse a class of more words than this (default 10^7), whatever"
+        " the route",
     )
     p.set_defaults(handler=_cmd_dist)
 
@@ -430,7 +431,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         help="largest alphabet the sweep will accept",
     )
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    p.add_argument("--max-class", type=int, default=DEFAULT_MAX_CLASS)
+    p.add_argument(
+        "--max-class",
+        type=int,
+        default=DEFAULT_MAX_CLASS,
+        help="refuse a class of more words than this (default 10^7)",
+    )
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("chainword", help="word built from longest relation chains")

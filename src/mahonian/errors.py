@@ -14,7 +14,7 @@ class MultiplicityMismatch(MahonianError):
 
 
 class ClassTooLarge(MahonianError):
-    """A rearrangement class exceeds the configured enumeration cap."""
+    """A rearrangement class exceeds the configured class-size cap."""
 
 
 class AlphabetMismatch(MahonianError):

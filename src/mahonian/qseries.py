@@ -30,7 +30,7 @@ from .relations import (
     from_ordered_bipartition,
     satisfies_sorting_conditions,
 )
-from .words import MultiplicityVector, _digits_past
+from .words import MultiplicityVector, _digits_past, _multinomial
 
 
 # Largest degree q_multinomial computes: at the cap, equal parts such as
@@ -239,7 +239,7 @@ def multinomial(parts: Sequence[int]) -> int:
     """Ordinary multinomial coefficient, exactly."""
     if any(type(p) is not int or p < 0 for p in parts):
         raise InvalidArguments(f"parts must be integers >= 0, got {parts!r}")
-    return math.prod(map(math.comb, accumulate(parts), parts))
+    return _multinomial(parts)
 
 
 def _block_data(alpha: MultiplicityVector, bp: OrderedBipartition):

@@ -113,7 +113,11 @@ def make_word(letters: Sequence[int], alpha: MultiplicityVector) -> Word:
 
 def class_size(alpha: MultiplicityVector) -> int:
     """Number of words in the rearrangement class, exactly."""
-    return math.prod(map(math.comb, accumulate(alpha.counts), alpha.counts))
+    return _multinomial(alpha.counts)
+
+
+def _multinomial(parts: Sequence[int]) -> int:
+    return math.prod(map(math.comb, accumulate(parts), parts))
 
 
 def _packed_residual(counts: Sequence[int]) -> tuple[list[int], int, int]:
@@ -167,7 +171,7 @@ def _digits_past(parts: Sequence[int], cap: int = 0) -> tuple[int, bool] | None:
         if abs(size - bound) > error:  # settled; the digits are exact if pinned
             low = math.floor(size - error)
             return (low + 1, low == math.floor(size + error)) if size > bound else None
-    size = math.prod(map(math.comb, accumulate(parts), parts))
+    size = _multinomial(parts)
     if size <= max(cap, 10**PRINTABLE_DIGITS - 1):
         return None
     digits = int((size.bit_length() - 1) * math.log10(2)) + 1  # of the top 2^k, or one more

@@ -272,10 +272,10 @@ def encode_under_rule(relation, word, rule):
     """bcode_encode's block bookkeeping over a naive selection sort that moves
     the copy the rule picks: the rightmost, the leftmost, or under
     copy-label-max the one with the largest original position."""
-    info, block_of, _ = _block_structure(relation, word.alpha)
+    blocks, block_of, _ = _block_structure(relation, word.alpha)
     work = [(x, label) for label, x in enumerate(word.letters)]
-    contributions = [[] for _ in info]
-    markers = [0] * len(info)
+    contributions = [[] for _ in blocks]
+    markers = [0] * len(blocks)
     for i in range(len(work) - 1, -1, -1):
         largest = max(x for x, _ in work[: i + 1])
         copies = [h for h in range(i + 1) if work[h][0] == largest]
@@ -286,9 +286,9 @@ def encode_under_rule(relation, word, rule):
         else:
             j = max(copies, key=lambda h: work[h][1])
         b = block_of[largest]
-        if not contributions[b] and info[b].two_letter:
+        if not contributions[b] and blocks[b][0] != blocks[b][-1]:
             subword = [x for x, _ in work if block_of[x] == b]
-            markers[b] = subword.index(info[b].letters[-1]) + 1
+            markers[b] = subword.index(blocks[b][-1]) + 1
         passed = work[j + 1 : i + 1]
         contributions[b].append(sum((largest, y) in relation for y, _ in passed))
         work[j], work[i] = work[i], work[j]

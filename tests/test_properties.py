@@ -1,5 +1,7 @@
 """Property tests: profile linearity, the selection sort against a naive
-one written from its definition, bipartition reconstruction against the
+one written from its definition, Theorem 2 on 3 letters scored through
+that naive sort under each tie rule, the graphical Foata transformation
+carrying maj' to inv' word by word, bipartition reconstruction against the
 closure route, the one-shot essential predicate against the exhaustive
 loop-assignment scan it replaced, ranged class enumeration against a
 brute-force class, the block code round trip on random qualifying
@@ -13,8 +15,9 @@ multinomial's product formula against box-partition counts and the DP."""
 
 from collections import Counter
 from functools import partial
-from itertools import permutations
+from itertools import permutations, product
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -52,8 +55,11 @@ from mahonian import (
     rearrangement_class,
     rearrangement_class_range,
     relation_from_mask,
+    relation_to_mask,
+    satisfies_sorting_conditions,
     to_ordered_bipartition,
     unrank_word,
+    verify_theorem2,
 )
 from mahonian.bcode import _block_structure
 from mahonian.relations import _sorting_bipartition
@@ -141,6 +147,63 @@ def test_sort_matches_the_naive_sort(case):
         assert _sorting_profile(n, letters, rule) == tuple(profile), rule
 
 
+# Theorem 2's disagreements over the 512 relations on 3 letters, by tie rule
+TIE_RULE_DISAGREEMENTS = {
+    (2, 2, 2): {TIE_COPY_LABEL_MAX: 1, TIE_LEFTMOST: 8, TIE_RIGHTMOST: 0},
+    (1, 2, 2): {TIE_COPY_LABEL_MAX: 2, TIE_LEFTMOST: 8, TIE_RIGHTMOST: 0},
+}
+
+
+@pytest.mark.parametrize("counts", sorted(TIE_RULE_DISAGREEMENTS), ids=str)
+def test_only_the_rightmost_tie_rule_keeps_theorem2(counts):
+    """inv', maj' and sor' scored over the brute-force class with no library
+    statistic, sor' through the naive sort under each rule: only rightmost
+    never disagrees with the sorting conditions.  Each word is scored once
+    per statistic into counts per pair (x, y), at relation_from_mask's bit
+    (x - 1)*3 + y - 1, so a relation's value is a sum over its bits."""
+    alpha = MultiplicityVector(counts)
+    words = brute_class(alpha)
+
+    def pair_counts(weighted_pairs):
+        row = [0] * 9
+        for x, y, weight in weighted_pairs:
+            row[(x - 1) * 3 + y - 1] += weight
+        return row
+
+    def inv(w):
+        m = len(w)
+        return pair_counts((w[i], w[j], 1) for i in range(m) for j in range(i + 1, m))
+
+    def maj(w):
+        return pair_counts((w[i], w[i + 1], i + 1) for i in range(len(w) - 1))
+
+    def sor(w, rule):
+        steps, _ = naive_sort(w, rule)
+        return pair_counts((x, y, 1) for _, _, x, passed in steps for y in passed)
+
+    columns = {"inv": list(map(inv, words)), "maj": list(map(maj, words))} | {
+        rule: [sor(w, rule) for w in words] for rule in TIE_RULES
+    }
+    disagreeing = {rule: [] for rule in TIE_RULES}
+    for mask in range(1 << 9):
+        bits = [b for b in range(9) if mask >> b & 1]
+        histograms = {
+            key: Counter(sum(row[b] for b in bits) for row in rows)
+            for key, rows in columns.items()
+        }
+        conditions = satisfies_sorting_conditions(relation_from_mask(3, mask), alpha)[0]
+        for rule in TIE_RULES:
+            if conditions != (histograms["inv"] == histograms["maj"] == histograms[rule]):
+                disagreeing[rule].append(mask)
+    assert {rule: len(masks) for rule, masks in disagreeing.items()} == (
+        TIE_RULE_DISAGREEMENTS[counts]
+    )
+    for rule in TIE_RULES:
+        report = verify_theorem2(3, alpha, tie_rule=rule)
+        masks = [relation_to_mask(d.relation) for d in report.disagreements]
+        assert masks == disagreeing[rule], rule
+
+
 def essential_by_scan(relation, alpha):
     """Reference: try every loop assignment to the multiplicity-1 letters in
     binary-counter order (bit b for the b-th smallest free letter, set meaning
@@ -161,16 +224,23 @@ def essential_by_scan(relation, alpha):
 
 
 @st.composite
-def near_bipartitional(draw, n):
-    """A bipartitional relation with some loops toggled and, sometimes, one
-    more pair toggled: most of these are essentially bipartitional for some
-    classes and not for others."""
+def ordered_bipartitions(draw, n):
+    """The letters 1..n in any order, cut into blocks, each block underlined
+    or not."""
     letters = draw(st.permutations(range(1, n + 1)))
     cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
     bounds = [0] + cuts + [n]
     blocks = [letters[a:b] for a, b in zip(bounds, bounds[1:])]
     flags = draw(st.lists(st.integers(0, 1), min_size=len(blocks), max_size=len(blocks)))
-    edges = set(from_ordered_bipartition(OrderedBipartition(blocks, flags)).edges)
+    return OrderedBipartition(blocks, flags)
+
+
+@st.composite
+def near_bipartitional(draw, n):
+    """A bipartitional relation with some loops toggled and, sometimes, one
+    more pair toggled: most of these are essentially bipartitional for some
+    classes and not for others."""
+    edges = set(from_ordered_bipartition(draw(ordered_bipartitions(n))).edges)
     edges ^= {(x, x) for x in draw(st.sets(st.integers(1, n)))}
     if draw(st.booleans()):
         edges ^= {(draw(st.integers(1, n)), draw(st.integers(1, n)))}
@@ -222,6 +292,85 @@ def brute_class(alpha):
     """Every rearrangement, lexicographic, by brute force over permutations."""
     pool = [x for x in range(1, alpha.n + 1) for _ in range(alpha.count_of(x))]
     return sorted(set(permutations(pool)))
+
+
+def foata(relation, letters):
+    """The graphical Foata transformation (Foata and Zeilberger, *Graphical
+    major indices*, 1996): γ(a) = a, and γ(v·a) takes g = γ(v), cuts it
+    after each letter b with (b, a) in U when g's last letter c has (c, a)
+    in U, else after each b with (b, a) not in U, moves the last letter of
+    each compartment to its front and appends a."""
+    edges = relation.edges
+    g = []
+    for a in letters:
+        if g:
+            inside = (g[-1], a) in edges
+            compartments, start = [], 0
+            for h, b in enumerate(g):
+                if ((b, a) in edges) == inside:
+                    compartments.append(g[start : h + 1])
+                    start = h + 1
+            g = [x for c in compartments for x in (c[-1], *c[:-1])]
+        g.append(a)
+    return tuple(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            ordered_bipartitions(n),
+            st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(
+                lambda counts: sum(counts) <= 6
+            ),
+        )
+    )
+)
+def test_foata_carries_maj_to_inv_under_a_bipartition(case):
+    """Theorem 1's "if" direction word by word: for a bipartitional U,
+    maj'_U(w) = inv'_U(γ_U(w)), and γ_U permutes the class."""
+    bp, counts = case
+    relation = from_ordered_bipartition(bp)
+    words = brute_class(MultiplicityVector(tuple(counts)))
+    images = [foata(relation, w) for w in words]
+    assert sorted(images) == words
+    for w, image in zip(words, images):
+        assert graphical_major_index(relation, w) == graphical_inversions(relation, image)
+
+
+def test_foata_of_the_witness_carries_maj_to_inv():
+    """For every relation U on 3 letters and class with counts 0..2 that has
+    an essential witness, γ of the witness's bipartition permutes the class
+    and carries maj'_U to inv'_U: a loop it adds or drops is on a letter of
+    multiplicity 1, which U never pairs.  Control: γ_U scored with U itself
+    breaks the identity on 352 of the 512 relations on (1, 1, 1)."""
+    pairs = 0
+    for counts in product(range(3), repeat=3):
+        alpha = MultiplicityVector(counts)
+        words = brute_class(alpha)
+        for mask in range(1 << 9):
+            relation = relation_from_mask(3, mask)
+            witness = is_essentially_bipartitional(relation, alpha)
+            if witness is None:
+                continue
+            pairs += 1
+            adjusted = from_ordered_bipartition(witness.bipartition)
+            images = [foata(adjusted, w) for w in words]
+            assert sorted(images) == words, (counts, mask)
+            for w, image in zip(words, images):
+                assert graphical_major_index(relation, w) == graphical_inversions(
+                    relation, image
+                ), (counts, mask, w)
+    assert pairs == 2576
+    words = brute_class(MultiplicityVector((1, 1, 1)))
+    broken = 0
+    for mask in range(1 << 9):
+        relation = relation_from_mask(3, mask)
+        broken += any(
+            graphical_major_index(relation, w) != graphical_inversions(relation, foata(relation, w))
+            for w in words
+        )
+    assert broken == 352
 
 
 @st.composite
@@ -298,11 +447,15 @@ def test_cached_plan_matches_a_fresh_derivation(case):
     plan = _block_structure(relation, alpha)
     assert plan == _block_structure.__wrapped__(relation, alpha)
     assert _block_structure(relation, alpha) is plan
-    info, block_of, suffix = plan
+    blocks, block_of, bounds = plan
     bp, _ = _sorting_bipartition(relation, alpha)
     assert all(x in bp.blocks[block_of[x]] for x in range(1, alpha.n + 1))
-    masses = [block.mass for block in info]
-    assert list(suffix) == [sum(masses[j + 1:]) for j in range(len(info))]
+    assert all(list(copies) == sorted(copies) for copies in blocks)
+    assert sorted(x for copies in blocks for x in copies) == sorted(
+        x for x in range(1, alpha.n + 1) for _ in range(alpha.count_of(x))
+    )
+    masses = [len(copies) for copies in blocks]
+    assert list(bounds) == [sum(masses[j + 1:]) for j in range(len(blocks))]
 
 
 @st.composite

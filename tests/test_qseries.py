@@ -19,15 +19,22 @@ from mahonian import (
     QPolynomial,
     Relation,
     SizeCapExceeded,
+    TIE_RIGHTMOST,
     box_partition_counts,
+    distribution,
+    effective_core,
     from_ordered_bipartition,
     gf_bipartitional,
     gf_sorting,
     graphical_inversions,
+    is_essentially_bipartitional,
     multinomial,
     q_binomial,
     q_multinomial,
     rearrangement_class,
+    relation_from_mask,
+    satisfies_sorting_conditions,
+    to_ordered_bipartition,
 )
 
 
@@ -329,6 +336,38 @@ def test_gf_sorting_on_singletons_is_the_q_multinomial():
         (frozenset({3}), frozenset({2}), frozenset({1})), (0, 0, 0)
     )
     assert gf_sorting(alpha, bp) == q_multinomial(alpha.counts)
+
+
+def test_closed_forms_match_the_distributions_on_every_small_relation():
+    """Every relation on each class with n <= 3 and counts 0..2: with an
+    essential witness, gf_bipartitional of its bipartition is the inv' and
+    maj' distribution; under the sorting conditions, gf_sorting of the
+    effective core's bipartition is the sor' distribution (rightmost) and
+    the inv' one."""
+    witnessed = sorting = 0
+    for n in (1, 2, 3):
+        for counts in itertools.product(range(3), repeat=n):
+            alpha = MultiplicityVector(counts)
+            for mask in range(1 << (n * n)):
+                relation = relation_from_mask(n, mask)
+                witness = is_essentially_bipartitional(relation, alpha)
+                sorts = satisfies_sorting_conditions(relation, alpha)[0]
+                if witness is None and not sorts:
+                    continue
+                inv = distribution("inv-graphical", alpha, relation)
+                if witness is not None:
+                    witnessed += 1
+                    gf = gf_bipartitional(alpha, witness.bipartition)
+                    maj = distribution("maj-graphical", alpha, relation)
+                    assert gf == inv == maj, (counts, mask)
+                if sorts:
+                    sorting += 1
+                    bp = to_ordered_bipartition(effective_core(relation, alpha))
+                    sor = distribution(
+                        "sor-graphical", alpha, relation, tie_rule=TIE_RIGHTMOST
+                    )
+                    assert gf_sorting(alpha, bp) == inv == sor, (counts, mask)
+    assert (witnessed, sorting) == (2686, 480)
 
 
 def test_gf_blocks_must_partition_the_alphabet():
