@@ -38,14 +38,17 @@ check, and walks the 2^live masks.  With u the relation's bit vector, a
 statistic's second moment over the class (the sum of its squared values) is
 u^T G u for the Gram matrix G of its profiles, so one quadratic form
 u^T D u, built from the differences of the Gram matrices on the live bits,
-vanishes whenever the statistics are equidistributed.  The walk visits the
-live masks in Gray-code order, where each step flips one live pair and
-moves the form with O(live) work.  A nonzero form proves that the
-distributions differ; only the masks where it vanishes get the exact check,
-which sums the mask's live columns and compares the histograms.  Equal
-second moments have matched equidistribution on every class tried, but that
-is an observation, so the exact check stays.  The walk returns only the
-live masks under which the statistics are equidistributed.
+vanishes whenever the statistics are equidistributed.  The walk is
+bit-sliced (see _zero_forms): one integer holds the form under every low
+part of the live bits, a lane each, and a Gray-code walk over the high bits
+moves all the lanes at once and flags those where the form vanishes.  A
+nonzero form proves that the distributions differ; only the masks where it
+vanishes get the exact check, which sums the mask's columns, each packed
+into one integer with a byte lane per word, and compares the sorted values
+(see _column_sums).  Equal second moments have matched equidistribution on
+every class tried, but that is an observation, so the exact check stays.
+The walk returns only the live masks under which the statistics are
+equidistributed.
 
 The predicate side is generated once per sweep by bit arithmetic, so no
 swept relation is built or tested and a mask's predicate is a set lookup.
@@ -62,23 +65,25 @@ does each completion (with any dead bits) of a returned mask not accepted.
 
 The copy-label-max prefix DP and the sweeps share one sharded path,
 _run_sharded: the work is cut into contiguous ranges (of class ranks for a
-distribution, of Gray-code ranks for a sweep), one per worker process and
-at most one per CPU, and a single range runs in the calling process.
-Arguments are validated in the caller, and a job carries the validated
-relation's pairs, the class and the lane width, or for a sweep the moment
-form, the live bits, the live columns and the class size (never the
-predicate set), not a description for each worker to rebuild, so no worker
-checks an argument and no sweep worker streams the class again.
+distribution, of the Gray-code ranks of the high live bits for a sweep),
+one per worker process and at most one per CPU, and a single range runs in
+the calling process.  Arguments are validated in the caller, and a job
+carries the validated relation's pairs, the class and the lane width, or
+for a sweep the moment form, the live bits, the number of low bits, the
+live columns and the class size (never the predicate set), not a
+description for each worker to rebuild, so no worker checks an argument
+and no sweep worker streams the class again; each sweep worker builds its
+own packed integers.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from operator import add, mul, sub
 from typing import Iterator, Sequence
 
@@ -582,80 +587,125 @@ def _moment_form(stats) -> list[list[int]]:
     return form
 
 
-def _moment_walk(
-    form: list[list[int]], live: list[int], start: int, stop: int
-) -> Iterator[tuple[int, int]]:
-    """(mask, u^T D u) for the masks at Gray-code ranks [start, stop) of the
-    live bits, D indexed by position in live.
+# Most low bits of the sweep's packed integer (2^14 lanes): on the n=6
+# sweeps the walk's time per mask stops falling from 14 on.
+_LOW_BITS = 14
 
-    Rank k visits the mask holding bit live[i] for each bit i of k ^ (k >> 1),
-    which differs from the previous mask in one live bit.  With r = D u,
-    setting bit i moves the form by 2 r_i + D_ii and clearing it by
-    D_ii - 2 r_i (D is symmetric), and r moves by +-D[i].  r is packed into
-    one integer, one fixed-width lane per entry offset by a bias above any
-    |r_a| (at most the sum of |D[a]|), so moving r is one integer add and
-    reading r_i one shift and mask.  With no live bits the one rank visits
-    the empty mask.
+
+def _zero_forms(form: list[list[int]], low: int, start: int, stop: int) -> Iterator[int]:
+    """The masks u with u^T D u = 0 whose high part u >> low sits at
+    Gray-code ranks [start, stop) of the len(D) - low high positions, bit i
+    of u standing for position i of D.
+
+    One integer holds a lane of width bits per low part m < 2^low, lane m
+    holding bias + u^T D u for u = m | h << low under the current high part
+    h.  That value is q(m) + 2 m^T D h + h^T D h with q(m) = m^T D m, so the
+    integer starts from the packed q, bias and h^T D h in every lane, and
+    P_j for each high bit j of h, lane m of P_j holding 2 sum_{i in m} D_ij.
+    q and each P_j are built by doubling: the lanes of the masks with bit l
+    set are those of the masks below 2^l, each moved up 2^l lanes with
+    bit l's share added.  Rank k's high part holds bit j for each bit j of
+    k ^ (k >> 1), and a step to the next rank flips one high bit j: the
+    integer moves by +-P_j plus, in every lane, D_jj + 2 r_j or D_jj - 2 r_j
+    with r = D h (D is symmetric), and r moves by +-D[j].  The bias is the
+    power of two above the sum of |D|'s entries, so each lane stays in
+    (0, 2 bias) and no carry crosses a lane; a lane there equals the bias
+    exactly when its bits below the bias's are all zero, which adding those
+    bits' full mask to them shows as no carry into the bias's bit.  bin()
+    lays the flags of the lanes without that carry out to be found.
     """
-    size = len(form)
-    bias = 1 << max((sum(map(abs, row)) for row in form), default=0).bit_length()
-    lane = 2 * bias - 1
-    shifts = [i * lane.bit_length() for i in range(size)]
+    bias = 1 << sum(abs(v) for row in form for v in row).bit_length()
+    width = bias.bit_length()
+    ones = [1]  # ones[l]: a 1 in each of the first 2^l lanes
+    for l in range(low):
+        ones.append(ones[l] | ones[l] << (width << l))
 
-    def pack(values) -> int:
-        return sum(value << shift for value, shift in zip(values, shifts))
+    def spread(row: list[int], top: int) -> int:
+        """Lane m < 2^top holding the sum of row[i] over the bits i of m."""
+        packed = 0
+        for i in range(top):
+            packed += (packed + row[i] * ones[i]) << (width << i)
+        return packed
 
-    columns = [pack(row) for row in form]
-    diagonal = [form[i][i] for i in range(size)]
-    flips = [1 << b for b in live]
+    quad = 0
+    for l in range(low):
+        quad += (quad + 2 * spread(form[l], l) + form[l][l] * ones[l]) << (width << l)
+    steps = [2 * spread(row, low) for row in form[low:]]
+    high = [row[low:] for row in form[low:]]
+    every = ones[low]
+    mark = bias * every
+    below = mark - every
     gray = start ^ (start >> 1)
-    bits = [i for i in range(size) if gray >> i & 1]
-    mask = sum(flips[i] for i in bits)
-    r = [sum(row[i] for i in bits) for row in form]
-    gap = sum(r[i] for i in bits)
-    packed = pack(value + bias for value in r)
+    bits = [j for j in range(len(high)) if gray >> j & 1]
+    r = [sum(row[j] for j in bits) for row in high]
+    packed = quad + sum(steps[j] for j in bits) + (bias + sum(r[j] for j in bits)) * every
     for rank in range(start, stop):
         if rank > start:
-            bit = (rank & -rank).bit_length() - 1
-            flip = flips[bit]
-            mask ^= flip
-            r_bit = (packed >> shifts[bit] & lane) - bias
-            if mask & flip:
-                gap += 2 * r_bit + diagonal[bit]
-                packed += columns[bit]
+            j = (rank & -rank).bit_length() - 1
+            gray ^= 1 << j
+            if gray >> j & 1:
+                packed += steps[j] + (high[j][j] + 2 * r[j]) * every
+                r = list(map(add, r, high[j]))
             else:
-                gap += diagonal[bit] - 2 * r_bit
-                packed -= columns[bit]
-        yield mask, gap
+                packed += (high[j][j] - 2 * r[j]) * every - steps[j]
+                r = list(map(sub, r, high[j]))
+        carried = ((packed & below) + below) & mark
+        if carried != mark:
+            flags = bin(carried ^ mark)
+            at = flags.find("1")
+            while at >= 0:
+                yield (len(flags) - 1 - at) // width | gray << low
+                at = flags.find("1", at + 1)
 
 
-def _histogram(columns, bits: list[int], size: int) -> Counter[int]:
-    """A statistic's histogram over the class under the relation with the
-    given bits, columns[b] holding entry b of each word's profile; with no
-    bits the sum is one zero per word, so every word is still counted."""
-    values = columns[bits[0]] if bits else repeat(0, size)
-    for b in bits[1:]:
-        values = map(add, values, columns[b])
-    return Counter(values)
+def _column_sums(columns, size: int):
+    """values(bits): a statistic's value on each word of the class under the
+    live positions bits, as a memoryview with one lane per word in class
+    order, columns[i] holding entry i of each word's profile.
+
+    A column is packed into one int the first time a mask reads it, one
+    lane per word of 1, 2, 4 or 8 bytes in native byte order, the narrowest
+    that holds the largest sum a mask can give: profiles are nonnegative, so
+    that is the largest sum over all the columns.  A mask's values are then
+    one integer sum, with no carry crossing a lane, read back as lanes.
+    """
+    # imported here: only the sweeps pack columns
+    import struct
+    import sys
+
+    top = max(map(sum, zip(*columns)), default=0)
+    code = next(c for c in "BHIQ" if top >> 8 * struct.calcsize(c) == 0)
+    layout, packed = f"{size}{code}", [None] * len(columns)
+    length = struct.calcsize(layout)
+
+    def values(bits) -> memoryview:
+        total = 0
+        for i in bits:
+            if packed[i] is None:
+                lanes = struct.pack(layout, *columns[i])
+                packed[i] = int.from_bytes(lanes, sys.byteorder)
+            total += packed[i]
+        return memoryview(total.to_bytes(length, sys.byteorder)).cast(code)
+
+    return values
 
 
 def _sweep_worker(job) -> list[int]:
-    """The live masks at Gray-code ranks [start, stop) of the live bits under
-    which the statistics are equidistributed over the class.
+    """The live masks with high parts at Gray-code ranks [start, stop) (see
+    _zero_forms) under which the statistics are equidistributed over the
+    class.
 
-    A nonzero second-moment form (see _moment_form and _moment_walk)
-    settles that they are not; where it vanishes, the exact check sums the
-    mask's columns of each statistic and compares the histograms.
+    A nonzero second-moment form (see _moment_form) settles that they are
+    not; where it vanishes, the exact check sums the mask's columns of each
+    statistic (see _column_sums) and compares the sorted values.
     """
-    form, live, stats, size, start, stop = job
-    equal = []
-    for mask, gap in _moment_walk(form, live, start, stop):
-        if gap:
-            continue
-        bits = [i for i, b in enumerate(live) if mask >> b & 1]
-        first, *rest = (_histogram(columns, bits, size) for columns in stats)
-        if all(histogram == first for histogram in rest):
-            equal.append(mask)
+    form, live, low, stats, size, start, stop = job
+    sums, equal = [_column_sums(columns, size) for columns in stats], []
+    for u in _zero_forms(form, low, start, stop):
+        bits = [i for i in range(len(live)) if u >> i & 1]
+        first, *rest = (sorted(values(bits)) for values in sums)
+        if all(other == first for other in rest):
+            equal.append(sum(1 << live[i] for i in bits))
     return equal
 
 
@@ -686,8 +736,9 @@ def _verify(
     tables = [list(zip(*map(partial(build, n), words))) for build in builders]
     live = [b for b in range(n * n) if any(any(columns[b]) for columns in tables)]
     stats = [[columns[b] for b in live] for columns in tables]
-    job = (_moment_form(stats), live, stats, len(words))
-    parts = _run_sharded(_sweep_worker, job, 1 << len(live), jobs)
+    low = min(len(live), _LOW_BITS)
+    job = (_moment_form(stats), live, low, stats, len(words))
+    parts = _run_sharded(_sweep_worker, job, 1 << (len(live) - low), jobs)
     equal = set(chain.from_iterable(parts))
     # a dead bit changes no statistic, so a live mask's verdict holds for
     # each of its completions: the mask with any subset of the dead bits

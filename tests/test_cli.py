@@ -546,6 +546,25 @@ def test_console_script_entry_point():
     assert result.stdout == "5\n"
 
 
+def test_a_closed_stdout_exits_quietly():
+    """A reader that stops early closes the pipe in the middle of a large
+    polynomial: the command exits 1 with no traceback on stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "mahonian", "gf", "--stat", "inv",
+         "--alpha", "100,100", "--edges", "2 1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert process.stdout.read(10) == b"1 + q + 2*"
+    process.stdout.close()
+    stderr = process.stderr.read().decode()
+    process.stderr.close()
+    assert process.wait(timeout=60) == 1
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

@@ -723,12 +723,13 @@ def captured_sweep(monkeypatch, counts, rule):
         calls.append((worker, job, count))
         return real(worker, job, count, jobs)
 
-    monkeypatch.setattr(oracle, "_run_sharded", capture)
     n, alpha = len(counts), MultiplicityVector(counts)
-    if rule is None:
-        verify_theorem1(n, alpha)
-    else:
-        verify_theorem2(n, alpha, tie_rule=rule)
+    with monkeypatch.context() as patched:
+        patched.setattr(oracle, "_run_sharded", capture)
+        if rule is None:
+            verify_theorem1(n, alpha)
+        else:
+            verify_theorem2(n, alpha, tie_rule=rule)
     [(worker, job, count)] = calls
     assert worker is oracle._sweep_worker
     return job, count
@@ -743,9 +744,10 @@ SWEEP_CASES = [
 
 @pytest.mark.parametrize("counts, rule", SWEEP_CASES, ids=str)
 def test_sweep_worker_returns_the_equidistributed_live_masks(monkeypatch, counts, rule):
-    """Over all Gray ranks, or over two ranges joined, the worker returns
-    exactly the masks of the live bits (those some word's profile reads)
-    under which the profile-summed histograms agree, each once."""
+    """Over all Gray ranks of the high live bits, or over two ranges joined,
+    the worker returns exactly the masks of the live bits (those some word's
+    profile reads) under which the profile-summed histograms agree, each
+    once, whether the low part covers no live bit, two, or all of them."""
     n, alpha = len(counts), MultiplicityVector(counts)
     builders = [_inversion_profile, _major_profile]
     if rule is not None:
@@ -764,44 +766,61 @@ def test_sweep_worker_returns_the_equidistributed_live_masks(monkeypatch, counts
         if all(histogram == first for histogram in rest):
             expected.append(sum(1 << b for b in bits))
 
-    job, count = captured_sweep(monkeypatch, counts, rule)
-    assert job[1] == live and count == 1 << len(live)
-    whole = oracle._sweep_worker(job + (0, count))
-    assert sorted(whole) == sorted(expected)
-    for cut in (count // 3, count // 2):
-        split = oracle._sweep_worker(job + (0, cut)) + oracle._sweep_worker(
-            job + (cut, count)
-        )
-        assert sorted(split) == sorted(expected)
+    for low in (0, 2, oracle._LOW_BITS):
+        monkeypatch.setattr(oracle, "_LOW_BITS", low)
+        job, count = captured_sweep(monkeypatch, counts, rule)
+        assert job[1] == live and job[2] == min(low, len(live))
+        assert count == 1 << (len(live) - job[2])
+        whole = oracle._sweep_worker(job + (0, count))
+        assert sorted(whole) == sorted(expected)
+        for cut in (count // 3, count // 2):
+            split = oracle._sweep_worker(job + (0, cut)) + oracle._sweep_worker(
+                job + (cut, count)
+            )
+            assert sorted(split) == sorted(expected)
 
 
 @pytest.mark.parametrize("counts, rule", SWEEP_CASES, ids=str)
 def test_exact_check_histograms_match_the_public_kernels(monkeypatch, counts, rule):
-    """Under every live mask, each statistic's exact-check histogram from the
-    job's columns is the histogram of its public per-word kernel over the
-    class under that relation, and counts every word once."""
+    """Under every live mask, each statistic's exact-check values from the
+    job's packed columns have the histogram of its public per-word kernel
+    over the class under that relation, and count every word once."""
     n, alpha = len(counts), MultiplicityVector(counts)
     kernels = [graphical_inversions, graphical_major_index]
     if rule is not None:
         kernels.append(partial(graphical_sorting_index, tie_rule=rule))
     words = list(rearrangement_class(alpha))
     job, _ = captured_sweep(monkeypatch, counts, rule)
-    _, live, stats, size = job
+    _, live, _, stats, size = job
     assert size == class_size(alpha)
+    sums = [oracle._column_sums(columns, size) for columns in stats]
     for chosen in itertools.product((0, 1), repeat=len(live)):
         bits = [i for i, bit in enumerate(chosen) if bit]
         relation = relation_from_mask(n, sum(1 << live[i] for i in bits))
-        for columns, kernel in zip(stats, kernels):
-            histogram = oracle._histogram(columns, bits, size)
+        for values, kernel in zip(sums, kernels):
+            histogram = Counter(values(bits))
             assert histogram == Counter(kernel(relation, word) for word in words)
             assert sum(histogram.values()) == class_size(alpha)
+
+
+def test_column_sums_widen_their_lanes_past_a_byte():
+    """A column sum of 256 or more takes two-byte lanes; one of at most 255
+    keeps one byte, and the values read back are the per-word sums."""
+    wide = oracle._column_sums([(300, 0, 5), (1, 255, 7)], 3)
+    assert wide([0, 1]).itemsize == 2
+    assert list(wide([0, 1])) == [301, 255, 12]
+    assert list(wide([1])) == [1, 255, 7]
+    assert list(wide([])) == [0, 0, 0]
+    assert oracle._column_sums([(255, 0), (0, 255)], 2)([0, 1]).itemsize == 1
+    assert list(oracle._column_sums([(255, 1), (1, 0)], 2)([0, 1])) == [256, 1]
 
 
 @pytest.mark.parametrize("rule", [None, TIE_RIGHTMOST], ids=str)
 def test_sweep_job_carries_no_predicate_set(monkeypatch, rule):
     """The job each worker receives holds the moment form, the live bits,
-    the live columns and the class size only: no set or dict, so no
-    predicate set or grouping of it is pickled into the workers."""
+    the number of low bits, the live columns and the class size only: no
+    set or dict, so no predicate set or grouping of it is pickled into the
+    workers."""
 
     def containers(value):
         if isinstance(value, (set, frozenset, dict)):
@@ -852,8 +871,11 @@ def test_alphabet_cap_must_be_an_integer(cap):
 
 
 def test_worker_count_is_clamped(monkeypatch, pool_starts):
-    """Workers never outnumber the CPUs or the shards."""
+    """Workers never outnumber the CPUs or the shards.  The sweep shards
+    over the Gray ranks of the high live bits, so with the low part forced
+    empty the three live bits of (2, 1) give eight ranks."""
     started = pool_starts
+    monkeypatch.setattr(oracle, "_LOW_BITS", 0)
     alpha = MultiplicityVector((2, 1))
     serial = verify_theorem2(2, alpha, tie_rule=TIE_LEFTMOST)
     assert started == []

@@ -461,26 +461,31 @@ def test_cached_plan_matches_a_fresh_derivation(case):
 @st.composite
 def gray_walks(draw):
     """A class with n <= 3 and counts <= 2, the sorting index's tie rule (None
-    for the inversion and major-index pair alone), and a run of Gray-code
-    ranks."""
+    for the inversion and major-index pair alone), the number of low bits,
+    and a run of Gray-code ranks of the high bits covering at most 40
+    masks."""
     n = draw(st.integers(1, 3))
     counts = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     rule = draw(st.one_of(st.none(), st.sampled_from(TIE_RULES)))
-    start = draw(st.integers(0, (1 << (n * n)) - 1))
-    stop = draw(st.integers(start + 1, min(start + 40, 1 << (n * n))))
-    return MultiplicityVector(tuple(counts)), rule, start, stop
+    low = draw(st.integers(0, min(n * n, 5)))
+    ranks = 1 << (n * n - low)
+    start = draw(st.integers(0, ranks - 1))
+    stop = draw(st.integers(start + 1, min(start + max(1, 40 >> low), ranks)))
+    return MultiplicityVector(tuple(counts)), rule, low, start, stop
 
 
 @settings(max_examples=200, deadline=None)
 @given(gray_walks())
 # every relation on two letters, equidistributed ones included
-@example((MultiplicityVector((1, 2)), None, 0, 16))
-@example((MultiplicityVector((1, 2)), TIE_RIGHTMOST, 0, 16))
+@example((MultiplicityVector((1, 2)), None, 0, 0, 16))
+@example((MultiplicityVector((1, 2)), TIE_RIGHTMOST, 0, 0, 16))
+@example((MultiplicityVector((1, 2)), None, 2, 0, 4))
 def test_moment_walk_tracks_the_second_moment_gap(case):
-    """The form tracked step by step equals sum(inv^2) - sum(maj^2) over the
-    class, computed with the public kernels; with the sorting index too, it
-    vanishes exactly when both gaps to inv do."""
-    alpha, rule, start, stop = case
+    """The moment form u^T D u equals sum(inv^2) - sum(maj^2) over the class,
+    computed with the public kernels, and the walk over the ranks returns
+    exactly the masks where it vanishes; with the sorting index too, those
+    are the masks where both gaps to inv vanish."""
+    alpha, rule, low, start, stop = case
     n = alpha.n
     words = [word.letters for word in rearrangement_class(alpha)]
     builders = [_inversion_profile, _major_profile]
@@ -490,16 +495,61 @@ def test_moment_walk_tracks_the_second_moment_gap(case):
         kernels.append(partial(graphical_sorting_index, tie_rule=rule))
     stats = [list(zip(*(build(n, letters) for letters in words))) for build in builders]
     form = oracle._moment_form(stats)
-    walked = list(oracle._moment_walk(form, list(range(n * n)), start, stop))
-    assert [mask for mask, _ in walked] == [k ^ (k >> 1) for k in range(start, stop)]
-    for mask, gap in walked:
+    walked = list(oracle._zero_forms(form, low, start, stop))
+    covered = [
+        m | (k ^ (k >> 1)) << low for k in range(start, stop) for m in range(1 << low)
+    ]
+    assert len(walked) == len(set(walked)) and set(walked) <= set(covered)
+    for mask in covered:
         relation = relation_from_mask(n, mask)
         squares = [sum(kernel(relation, w) ** 2 for w in words) for kernel in kernels]
         gaps = [squares[0] - other for other in squares[1:]]
         if rule is None:
-            assert gap == gaps[0]
-        else:
-            assert (gap == 0) == (gaps == [0, 0])
+            bits = [i for i in range(n * n) if mask >> i & 1]
+            assert sum(form[i][j] for i in bits for j in bits) == gaps[0]
+        assert (mask in walked) == (gaps == [0] * len(gaps))
+
+
+@st.composite
+def sliced_forms(draw):
+    """A random symmetric integer matrix with at most 14 rows, some entries
+    past 2^64, the number of low bits (0, 1, 3 or all of them, capped by
+    the size) and cut points splitting the Gray ranks of the high bits."""
+    size = draw(st.integers(0, 14))
+    scales = st.sampled_from([1, 1, 1, 3, 1 << 70])
+    form = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            value = draw(st.integers(-2, 2)) * draw(scales)
+            form[i][j] = form[j][i] = value
+    low = min(size, draw(st.sampled_from([0, 1, 3, size, 14])))
+    ranks = 1 << (size - low)
+    cuts = sorted(draw(st.lists(st.integers(0, ranks), max_size=3)))
+    return form, low, [0, *cuts, ranks]
+
+
+@settings(max_examples=80, deadline=None)
+@given(sliced_forms())
+@example(([], 0, [0, 1]))
+@example(([[1 << 70, -(1 << 70)], [-(1 << 70), 1 << 70]], 1, [0, 1, 2]))
+@example(([[i * j % 3 - 1 for j in range(14)] for i in range(14)], 3, [0, 700, 2048]))
+def test_sliced_zero_set_matches_the_naive_form(case):
+    """The packed walk returns each mask u with u^T D u = 0 once, read off
+    the whole range of high ranks or off its pieces joined, for any number
+    of low bits and for entries that need a bias past 64 bits."""
+    form, low, cuts = case
+    size = len(form)
+    naive = set()
+    for u in range(1 << size):
+        bits = [i for i in range(size) if u >> i & 1]
+        if sum(form[i][j] for i in bits for j in bits) == 0:
+            naive.add(u)
+    pieces = [
+        u
+        for start, stop in zip(cuts, cuts[1:])
+        for u in oracle._zero_forms(form, low, start, stop)
+    ]
+    assert len(pieces) == len(naive) and set(pieces) == naive
 
 
 @settings(max_examples=300, deadline=None)
