@@ -44,9 +44,10 @@ part of the live bits, a lane each, and a Gray-code walk over the high bits
 moves all the lanes at once and flags those where the form vanishes.  A
 nonzero form proves that the distributions differ; only the masks where it
 vanishes get the exact check, which sums the mask's columns, each packed
-into one integer with a byte lane per word, and compares the sorted values
-(see _column_sums).  Equal second moments have matched equidistribution on
-every class tried, but that is an observation, so the exact check stays.
+once, in the caller before sharding, into one integer with a byte-aligned
+lane per word, and compares the sorted values (see _packed_columns).  Equal
+second moments have matched equidistribution on every class tried, but
+that is an observation, so the exact check stays.
 The walk returns only the live masks under which the statistics are
 equidistributed.
 
@@ -70,20 +71,21 @@ one per worker process and at most one per CPU, and a single range runs in
 the calling process.  Arguments are validated in the caller, and a job
 carries the validated relation's pairs, the class and the lane width, or
 for a sweep the moment form, the live bits, the number of low bits, the
-live columns and the class size (never the predicate set), not a
-description for each worker to rebuild, so no worker checks an argument
-and no sweep worker streams the class again; each sweep worker builds its
-own packed integers.
+lane code, the packed live columns and the class size (never the predicate
+set), not a description for each worker to rebuild, so no worker checks an
+argument and no sweep worker streams the class or packs a column.
 """
 
 from __future__ import annotations
 
 import os
+import struct
+import sys
 import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, zip_longest
 from operator import add, mul, sub
 from typing import Iterator, Sequence
 
@@ -368,8 +370,11 @@ def equidistributed(
     jobs: int = 1,
 ) -> bool:
     """True iff all named statistics have the same distribution over the class."""
-    if not stats:
-        raise InvalidArguments("need at least one statistic")
+    # a bare string is a sequence of characters, not of statistic ids
+    if isinstance(stats, str) or not stats:
+        raise InvalidArguments(
+            f"stats must be a nonempty sequence of statistic ids, got {stats!r}"
+        )
     polynomials = [
         distribution(
             stat, alpha, relation, tie_rule=tie_rule, max_class=max_class, jobs=jobs
@@ -559,10 +564,9 @@ def _gram(columns) -> list[list[int]]:
     """The sum of P P^T over the words' profiles P, with columns[a] holding
     entry a of each profile, so u^T G u is the statistic's second moment
     over the class under the relation with bit vector u.  G is symmetric:
-    its lower half is summed."""
-    size = range(len(columns))
-    low = [[sum(map(mul, columns[a], columns[b])) for b in range(a + 1)] for a in size]
-    return [[low[max(a, b)][min(a, b)] for b in size] for a in size]
+    its lower half is summed and mirrored by transposition."""
+    low = [[sum(map(mul, a, b)) for b in columns[: i + 1]] for i, a in enumerate(columns)]
+    return [r + list(c[i + 1 :]) for i, (r, c) in enumerate(zip(low, zip_longest(*low)))]
 
 
 def _moment_form(stats) -> list[list[int]]:
@@ -658,36 +662,24 @@ def _zero_forms(form: list[list[int]], low: int, start: int, stop: int) -> Itera
                 at = flags.find("1", at + 1)
 
 
-def _column_sums(columns, size: int):
-    """values(bits): a statistic's value on each word of the class under the
-    live positions bits, as a memoryview with one lane per word in class
-    order, columns[i] holding entry i of each word's profile.
+def _packed_columns(stats, size: int) -> tuple[str, list[list[int]]]:
+    """The struct code of a lane and every statistic's columns, each packed
+    into one int with a lane per word in class order, stats[s][i] holding
+    entry i of each word's profile for statistic s.
 
-    A column is packed into one int the first time a mask reads it, one
-    lane per word of 1, 2, 4 or 8 bytes in native byte order, the narrowest
-    that holds the largest sum a mask can give: profiles are nonnegative, so
-    that is the largest sum over all the columns.  A mask's values are then
-    one integer sum, with no carry crossing a lane, read back as lanes.
+    A lane is 1, 2, 4 or 8 bytes in native byte order, one width for every
+    statistic: the narrowest that holds the largest sum a mask can give.
+    Profiles are nonnegative, so that is the largest word sum of a
+    statistic's columns.  A mask's values are then one integer sum, with no
+    carry crossing a lane, read back as lanes (see _sweep_worker).
     """
-    # imported here: only the sweeps pack columns
-    import struct
-    import sys
-
-    top = max(map(sum, zip(*columns)), default=0)
+    top = max((sum(entries) for columns in stats for entries in zip(*columns)), default=0)
     code = next(c for c in "BHIQ" if top >> 8 * struct.calcsize(c) == 0)
-    layout, packed = f"{size}{code}", [None] * len(columns)
-    length = struct.calcsize(layout)
-
-    def values(bits) -> memoryview:
-        total = 0
-        for i in bits:
-            if packed[i] is None:
-                lanes = struct.pack(layout, *columns[i])
-                packed[i] = int.from_bytes(lanes, sys.byteorder)
-            total += packed[i]
-        return memoryview(total.to_bytes(length, sys.byteorder)).cast(code)
-
-    return values
+    layout = f"{size}{code}"
+    return code, [
+        [int.from_bytes(struct.pack(layout, *column), sys.byteorder) for column in columns]
+        for columns in stats
+    ]
 
 
 def _sweep_worker(job) -> list[int]:
@@ -697,13 +689,17 @@ def _sweep_worker(job) -> list[int]:
 
     A nonzero second-moment form (see _moment_form) settles that they are
     not; where it vanishes, the exact check sums the mask's columns of each
-    statistic (see _column_sums) and compares the sorted values.
+    statistic, packed once by the caller (see _packed_columns), reads the
+    sums back as lanes and compares the sorted values.
     """
-    form, live, low, stats, size, start, stop = job
-    sums, equal = [_column_sums(columns, size) for columns in stats], []
+    form, live, low, code, packed, size, start, stop = job
+    length, equal = size * struct.calcsize(code), []
     for u in _zero_forms(form, low, start, stop):
         bits = [i for i in range(len(live)) if u >> i & 1]
-        first, *rest = (sorted(values(bits)) for values in sums)
+        totals = (sum(map(columns.__getitem__, bits)) for columns in packed)
+        first, *rest = (
+            sorted(memoryview(t.to_bytes(length, sys.byteorder)).cast(code)) for t in totals
+        )
         if all(other == first for other in rest):
             equal.append(sum(1 << live[i] for i in bits))
     return equal
@@ -718,11 +714,12 @@ def _verify(
     max_class: int,
     jobs: int,
 ) -> VerificationReport:
+    _check_alphabet_size(n)
     if alpha.n != n:
         raise AlphabetMismatch(f"alpha has n={alpha.n}, sweep asked for n={n}")
     _check_alphabet(n, max_alphabet)
     _check_jobs(jobs)
-    _check_class(alpha, max_class)
+    size = _check_class(alpha, max_class)
     started = time.perf_counter()
     if check == CHECK_INV_MAJ:
         builders = (_inversion_profile, _major_profile)
@@ -737,7 +734,7 @@ def _verify(
     live = [b for b in range(n * n) if any(any(columns[b]) for columns in tables)]
     stats = [[columns[b] for b in live] for columns in tables]
     low = min(len(live), _LOW_BITS)
-    job = (_moment_form(stats), live, low, stats, len(words))
+    job = (_moment_form(stats), live, low, *_packed_columns(stats, size), size)
     parts = _run_sharded(_sweep_worker, job, 1 << (len(live) - low), jobs)
     equal = set(chain.from_iterable(parts))
     # a dead bit changes no statistic, so a live mask's verdict holds for

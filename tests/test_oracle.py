@@ -3,6 +3,8 @@
 import concurrent.futures
 import itertools
 import math
+import struct
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -464,6 +466,14 @@ def test_equidistribution_examples():
         equidistributed([], MultiplicityVector((1, 1)))
 
 
+def test_equidistribution_refuses_a_bare_string():
+    """A string is a sequence of characters, so "inv" would name the
+    statistics "i", "n" and "v"; it is refused as a whole."""
+    with pytest.raises(InvalidArguments, match="sequence of statistic ids, got 'inv'"):
+        equidistributed("inv", MultiplicityVector((1, 1)))
+    assert equidistributed(("inv",), MultiplicityVector((1, 1)))
+
+
 def test_relation_mask_round_trip():
     for n in (1, 2, 3):
         for mask in range(1 << (n * n)):
@@ -575,6 +585,10 @@ def test_verify_guards():
     # True equals alpha.n == 1, but is no alphabet size
     with pytest.raises(InvalidArguments):
         verify_theorem1(True, MultiplicityVector((1,)))
+    # the size is checked before it is compared with the class's alphabet
+    for n in ("3", True):
+        with pytest.raises(InvalidArguments, match="alphabet size must be an integer"):
+            verify_theorem1(n, MultiplicityVector((1, 1, 1)))
     with pytest.raises(AlphabetMismatch):
         verify_theorem1(2, MultiplicityVector((1, 1, 1)))
     with pytest.raises(ClassTooLarge):
@@ -791,46 +805,77 @@ def test_exact_check_histograms_match_the_public_kernels(monkeypatch, counts, ru
         kernels.append(partial(graphical_sorting_index, tie_rule=rule))
     words = list(rearrangement_class(alpha))
     job, _ = captured_sweep(monkeypatch, counts, rule)
-    _, live, _, stats, size = job
-    assert size == class_size(alpha)
-    sums = [oracle._column_sums(columns, size) for columns in stats]
+    _, live, _, code, packed, size = job
+    assert size == class_size(alpha) and len(packed) == len(kernels)
     for chosen in itertools.product((0, 1), repeat=len(live)):
         bits = [i for i, bit in enumerate(chosen) if bit]
         relation = relation_from_mask(n, sum(1 << live[i] for i in bits))
-        for values, kernel in zip(sums, kernels):
-            histogram = Counter(values(bits))
+        for columns, kernel in zip(packed, kernels):
+            histogram = Counter(read_lanes(code, sum(columns[i] for i in bits), size))
             assert histogram == Counter(kernel(relation, word) for word in words)
             assert sum(histogram.values()) == class_size(alpha)
 
 
+def read_lanes(code, total, size):
+    """The size lanes of a packed sum, as _sweep_worker reads them back."""
+    length = size * struct.calcsize(code)
+    return list(memoryview(total.to_bytes(length, sys.byteorder)).cast(code))
+
+
+LANE_CASES = [
+    ([(255, 0, 0), (0, 255, 0)], "B"),
+    ([(255, 1, 0), (1, 0, 0)], "H"),
+    ([(300, 0, 5), (1, 255, 7)], "H"),
+    ([(65535, 0, 2), (1, 7, 0)], "I"),
+    ([(2**32 - 1, 3, 0), (0, 2**31, 9)], "I"),
+    ([(2**32 - 1, 0, 0), (1, 2**20, 4)], "Q"),
+    ([(2**63, 5, 1), (2**63 - 1, 2**40, 0)], "Q"),
+]
+
+
 def test_column_sums_widen_their_lanes_past_a_byte():
-    """A column sum of 256 or more takes two-byte lanes; one of at most 255
-    keeps one byte, and the values read back are the per-word sums."""
-    wide = oracle._column_sums([(300, 0, 5), (1, 255, 7)], 3)
-    assert wide([0, 1]).itemsize == 2
-    assert list(wide([0, 1])) == [301, 255, 12]
-    assert list(wide([1])) == [1, 255, 7]
-    assert list(wide([])) == [0, 0, 0]
-    assert oracle._column_sums([(255, 0), (0, 255)], 2)([0, 1]).itemsize == 1
-    assert list(oracle._column_sums([(255, 1), (1, 0)], 2)([0, 1])) == [256, 1]
+    """The packed lanes are the narrowest of 1, 2, 4 and 8 bytes that hold
+    the largest word sum of a statistic's columns, one width for every
+    statistic, and every mask's sum reads back as the per-word sums."""
+    narrow = [(1, 0, 2), (0, 3, 0)]
+    for columns, code in LANE_CASES:
+        for stats in ([columns], [narrow, columns]):
+            got, packed = oracle._packed_columns(stats, 3)
+            assert got == code
+            for columns_of, packed_of in zip(stats, packed):
+                for chosen in itertools.product((0, 1), repeat=len(columns_of)):
+                    bits = [i for i, bit in enumerate(chosen) if bit]
+                    total = sum(packed_of[i] for i in bits)
+                    expected = [sum(columns_of[i][w] for i in bits) for w in range(3)]
+                    assert read_lanes(code, total, 3) == expected, (columns, bits)
+    assert oracle._packed_columns([[], []], 3) == ("B", [[], []])
 
 
 @pytest.mark.parametrize("rule", [None, TIE_RIGHTMOST], ids=str)
 def test_sweep_job_carries_no_predicate_set(monkeypatch, rule):
     """The job each worker receives holds the moment form, the live bits,
-    the number of low bits, the live columns and the class size only: no
-    set or dict, so no predicate set or grouping of it is pickled into the
-    workers."""
+    the number of low bits, the lane code, the packed live columns and the
+    class size only: no set or dict, so no predicate set or grouping of it
+    is pickled into the workers, and no sequence with an entry per word, so
+    no column goes to the workers unpacked."""
+    counts = (2, 1, 2)
+    size = class_size(MultiplicityVector(counts))
 
     def containers(value):
         if isinstance(value, (set, frozenset, dict)):
             yield type(value)
         elif isinstance(value, (tuple, list)):
+            if len(value) == size:
+                yield "per-word", type(value)
             for item in value:
                 yield from containers(item)
 
-    job, _ = captured_sweep(monkeypatch, (2, 1, 2), rule)
+    job, _ = captured_sweep(monkeypatch, counts, rule)
     assert list(containers(job)) == []
+    _, live, _, code, packed, job_size = job
+    assert (code, job_size) == ("B", size)
+    assert all(type(column) is int for columns in packed for column in columns)
+    assert [len(columns) for columns in packed] == [len(live)] * len(packed)
 
 
 def test_jobs_below_one_are_rejected():
