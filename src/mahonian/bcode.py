@@ -88,12 +88,13 @@ class BCode:
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _block_structure(
     relation: Relation, alpha: MultiplicityVector
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
-    """The class's code plan: each block's copies, ascending (so its mass is
-    their number, it has two letters when the ends differ, and its top letter
-    is the last), the block of each letter (indexed by letter) and the total
-    mass after each block.  Only successes are cached, so a failing class
-    raises, with fresh reasons, on every call."""
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The class's code plan: each block's letters, ascending (so it has two
+    letters when the ends differ, and its top letter is the last), the block
+    of each letter (indexed by letter), and each block's mass with the total
+    mass after it.  Masses come from the counts, so no plan holds a copy:
+    a code's shape is checked before any per-copy work.  Only successes are
+    cached, so a failing class raises, with fresh reasons, on every call."""
     bp, reasons = _sorting_bipartition(relation, alpha)
     ok = not reasons
     for x in range(1, alpha.n + 1):
@@ -114,17 +115,15 @@ def _block_structure(
             )
     if reasons:
         raise ConditionsNotSatisfied(reasons)
-    blocks = tuple(
-        tuple(x for x in sorted(block) for _ in range(alpha.count_of(x)))
-        for block in bp.blocks
-    )
+    blocks = tuple(tuple(sorted(block)) for block in bp.blocks)
     block_of = [0] * (alpha.n + 1)  # slot 0 unused
-    for j, block in enumerate(bp.blocks):
+    for j, block in enumerate(blocks):
         for x in block:
             block_of[x] = j
+    masses = [sum(map(alpha.count_of, block)) for block in blocks]
     # every letter occurs, so the blocks' copies make up the whole word
-    bounds = tuple(alpha.total - done for done in itertools.accumulate(map(len, blocks)))
-    return blocks, tuple(block_of), bounds
+    bounds = (alpha.total - done for done in itertools.accumulate(masses))
+    return blocks, tuple(block_of), tuple(zip(masses, bounds))
 
 
 def bcode_encode(relation: Relation, word) -> BCode:
@@ -140,12 +139,11 @@ def bcode_encode(relation: Relation, word) -> BCode:
     markers = [0] * len(blocks)
     for j, i, work in _sort_moves(letters, BCODE_TIE_RULE):
         b = block_of[work[j]]
-        copies = blocks[b]
-        if not contributions[b] and copies[0] != copies[-1]:
+        if not contributions[b] and len(blocks[b]) == 2:
             # top letter's position among the block's copies, read just
             # before the block's first step
             subword = [x for x in work if block_of[x] == b]
-            markers[b] = subword.index(copies[-1]) + 1
+            markers[b] = subword.index(blocks[b][1]) + 1
         contributions[b].append(_contribution(relation.edges, j, i, work))
     partitions = tuple(
         tuple(sorted(block_contribs, reverse=True)) for block_contribs in contributions
@@ -158,20 +156,19 @@ def validate_code(relation: Relation, alpha: MultiplicityVector, code: BCode) ->
     the class: partition j has one part per copy in block j, nonincreasing,
     parts at most the later blocks' total multiplicity; markers are 0 for
     one-letter blocks and a copy position for two-letter blocks."""
-    blocks, _, bounds = _block_structure(relation, alpha)
-    _check_code(blocks, bounds, code)
+    blocks, _, sizes = _block_structure(relation, alpha)
+    _check_code(blocks, sizes, code)
 
 
 def _check_code(
-    blocks: tuple[tuple[int, ...], ...], bounds: tuple[int, ...], code: BCode
+    blocks: tuple[tuple[int, ...], ...], sizes: tuple[tuple[int, int], ...], code: BCode
 ) -> None:
     if len(code.partitions) != len(blocks):
         raise InvalidCode(
             f"expected {len(blocks)} partitions, got {len(code.partitions)}"
         )
-    for j, (part, copies) in enumerate(zip(code.partitions, blocks)):
+    for j, (part, letters, (mass, bound)) in enumerate(zip(code.partitions, blocks, sizes)):
         label = j + 1
-        mass = len(copies)
         if len(part) != mass:
             raise InvalidCode(
                 f"partition {label} must have {mass} parts, got {len(part)}"
@@ -180,12 +177,12 @@ def _check_code(
             raise InvalidCode(f"partition {label} has a negative part")
         if any(part[t] < part[t + 1] for t in range(len(part) - 1)):
             raise InvalidCode(f"partition {label} is not nonincreasing: {part}")
-        if part and part[0] > bounds[j]:
+        if part and part[0] > bound:
             raise InvalidCode(
-                f"partition {label} has part {part[0]} exceeding the bound {bounds[j]}"
+                f"partition {label} has part {part[0]} exceeding the bound {bound}"
             )
         marker = code.markers[j]
-        if copies[0] != copies[-1]:
+        if len(letters) == 2:
             if not 1 <= marker <= mass:
                 raise InvalidCode(
                     f"marker {label} must be between 1 and {mass}, got {marker}"
@@ -211,20 +208,20 @@ def bcode_decode(relation: Relation, alpha: MultiplicityVector, code: BCode) -> 
     move the small copies, and the top letter finally moves left by its part
     plus the number of copies that sat right of it, undoing its head start.
     """
-    blocks, _, bounds = _block_structure(relation, alpha)
-    _check_code(blocks, bounds, code)
+    blocks, _, sizes = _block_structure(relation, alpha)
+    _check_code(blocks, sizes, code)
     word: list[int] = []
     for j in range(len(blocks) - 1, -1, -1):
-        copies = blocks[j]
-        parts = code.partitions[j]
+        parts = code.partitions[j]  # one per copy of the block, once checked
         base = len(word)
-        word.extend(copies)
+        for x in blocks[j]:
+            word += [x] * alpha.counts[x - 1]
         p = code.markers[j]  # 0 exactly for a one-letter block, once checked
         for t, distance in enumerate(parts[: p - 1] + parts[p:] if p else parts):
             _swap_left(word, base + t, distance)
         if p:
-            _swap_left(word, len(word) - 1, parts[p - 1] + len(copies) - p)
-    # the replay only swaps the plan's copies, which hold alpha's multiset
+            _swap_left(word, len(word) - 1, parts[p - 1] + len(parts) - p)
+    # the replay only swaps the blocks' copies, which hold alpha's multiset
     return Word(tuple(word), alpha)
 
 
@@ -239,14 +236,11 @@ def _bounded_partitions(length: int, bound: int):
 
 def enumerate_codes(relation: Relation, alpha: MultiplicityVector):
     """All valid codes for the class, in a fixed deterministic order."""
-    blocks, _, bounds = _block_structure(relation, alpha)
-    part_choices = [
-        tuple(_bounded_partitions(len(copies), bound))
-        for copies, bound in zip(blocks, bounds)
-    ]
+    blocks, _, sizes = _block_structure(relation, alpha)
+    part_choices = [tuple(_bounded_partitions(mass, bound)) for mass, bound in sizes]
     marker_choices = [
-        tuple(range(1, len(copies) + 1)) if copies[0] != copies[-1] else (0,)
-        for copies in blocks
+        tuple(range(1, mass + 1)) if len(letters) == 2 else (0,)
+        for letters, (mass, _) in zip(blocks, sizes)
     ]
     for partitions in itertools.product(*part_choices):
         for markers in itertools.product(*marker_choices):
@@ -255,10 +249,10 @@ def enumerate_codes(relation: Relation, alpha: MultiplicityVector):
 
 def code_count(relation: Relation, alpha: MultiplicityVector) -> int:
     """Number of valid codes; matches the size of the rearrangement class."""
-    blocks, _, bounds = _block_structure(relation, alpha)
+    blocks, _, sizes = _block_structure(relation, alpha)
     total = 1
-    for copies, bound in zip(blocks, bounds):
-        total *= math.comb(bound + len(copies), len(copies))
-        if copies[0] != copies[-1]:
-            total *= len(copies)
+    for letters, (mass, bound) in zip(blocks, sizes):
+        total *= math.comb(bound + mass, mass)
+        if len(letters) == 2:
+            total *= mass
     return total

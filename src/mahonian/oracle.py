@@ -51,6 +51,18 @@ that is an observation, so the exact check stays.
 The walk returns only the live masks under which the statistics are
 equidistributed.
 
+A sweep is paired when every statistic gives every word one and the same
+total K over the live bits.  The complement within the live bits then takes
+each word's value v to K - v under every statistic, so the distributions
+reflect together and a mask and its complement get one verdict: the sweep
+moment-forms, packs and walks all live bits but the last, and the caller
+adds the complement of each returned mask.  inv and maj always pair, with K
+= C(m, 2) for words of length m (each pair of positions for inv, and for
+maj each adjacent pair at i, weighing i, counts under U or else under its
+complement), so a Theorem 1 sweep walks half the masks; the sorting index's total varies by word, so a
+Theorem 2 sweep walks them all.  Like the dead bits, the pairing is read off
+the profiles, not assumed per theorem.
+
 The predicate side is generated once per sweep by bit arithmetic, so no
 swept relation is built or tested and a mask's predicate is a set lookup.
 A block S followed by the letters L writes the row L, or L | S when S is
@@ -70,8 +82,8 @@ distribution, of the Gray-code ranks of the high live bits for a sweep),
 one per worker process and at most one per CPU, and a single range runs in
 the calling process.  Arguments are validated in the caller, and a job
 carries the validated relation's pairs, the class and the lane width, or
-for a sweep the moment form, the live bits, the number of low bits, the
-lane code, the packed live columns and the class size (never the predicate
+for a sweep the moment form, the walked live bits, the number of low bits,
+the lane code, their packed columns and the class size (never the predicate
 set), not a description for each worker to rebuild, so no worker checks an
 argument and no sweep worker streams the class or packs a column.
 """
@@ -662,18 +674,17 @@ def _zero_forms(form: list[list[int]], low: int, start: int, stop: int) -> Itera
                 at = flags.find("1", at + 1)
 
 
-def _packed_columns(stats, size: int) -> tuple[str, list[list[int]]]:
+def _packed_columns(stats, size: int, top: int) -> tuple[str, list[list[int]]]:
     """The struct code of a lane and every statistic's columns, each packed
     into one int with a lane per word in class order, stats[s][i] holding
     entry i of each word's profile for statistic s.
 
     A lane is 1, 2, 4 or 8 bytes in native byte order, one width for every
-    statistic: the narrowest that holds the largest sum a mask can give.
-    Profiles are nonnegative, so that is the largest word sum of a
-    statistic's columns.  A mask's values are then one integer sum, with no
-    carry crossing a lane, read back as lanes (see _sweep_worker).
+    statistic: the narrowest that holds top, at least the largest sum a mask
+    can give.  Profiles are nonnegative, so the largest word sum of a
+    statistic's columns will do.  A mask's values are then one integer sum,
+    with no carry crossing a lane, read back as lanes (see _sweep_worker).
     """
-    top = max((sum(entries) for columns in stats for entries in zip(*columns)), default=0)
     code = next(c for c in "BHIQ" if top >> 8 * struct.calcsize(c) == 0)
     layout = f"{size}{code}"
     return code, [
@@ -732,14 +743,24 @@ def _verify(
     words = [word.letters for word in rearrangement_class(alpha, None)]
     tables = [list(zip(*map(partial(build, n), words))) for build in builders]
     live = [b for b in range(n * n) if any(any(columns[b]) for columns in tables)]
+    live_mask = sum(1 << b for b in live)
     stats = [[columns[b] for b in live] for columns in tables]
+    totals = {sum(entries) for columns in stats for entries in zip(*columns)}
+    # one total K for every word and statistic: the complement within the
+    # live bits takes each value v to K - v, so it keeps the verdict, and
+    # the walk fixes the last live bit at 0
+    paired = len(totals) == 1
+    if paired:
+        live, stats = live[:-1], [columns[:-1] for columns in stats]
     low = min(len(live), _LOW_BITS)
-    job = (_moment_form(stats), live, low, *_packed_columns(stats, size), size)
+    code, packed = _packed_columns(stats, size, max(totals, default=0))
+    job = (_moment_form(stats), live, low, code, packed, size)
     parts = _run_sharded(_sweep_worker, job, 1 << (len(live) - low), jobs)
     equal = set(chain.from_iterable(parts))
+    if paired:
+        equal |= {mask ^ live_mask for mask in equal}
     # a dead bit changes no statistic, so a live mask's verdict holds for
     # each of its completions: the mask with any subset of the dead bits
-    live_mask = sum(1 << b for b in live)
     completions = _submasks(b for b in range(n * n) if not live_mask >> b & 1)
     found = sorted(
         [(mask, True, False) for mask in accepted if (mask & live_mask) not in equal]

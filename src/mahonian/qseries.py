@@ -37,6 +37,11 @@ from .words import MultiplicityVector, _digits_past, _multinomial
 # (5,)*57 or (10,)*29 take about 2 s on 2 CPUs, and (200, 200) takes 1 s.
 MAX_QSERIES_DEGREE = 40_000
 
+# Largest box area j*k box_partition_counts fills: its table holds about
+# min(j,k)^2 max(j,k) / 2 coefficients, and the square (100, 100) at the cap
+# takes about 2 s on 2 CPUs.
+MAX_BOX_AREA = 10_000
+
 
 class QPolynomial:
     """A polynomial in q with coefficients in the nonnegative integers."""
@@ -220,10 +225,15 @@ def box_partition_counts(j: int, k: int) -> QPolynomial:
     Computed by a direct partition recurrence (separate a partition by
     whether it has fewer than k parts, or all k parts positive and each can
     be lowered by one), filled row by row over the number of parts,
-    independently of the product formula.
+    independently of the product formula.  Conjugation swaps the sides, so
+    the table runs over the shorter one.  An area j*k above
+    ``MAX_BOX_AREA`` raises before any work.
     """
     if type(j) is not int or type(k) is not int or j < 0 or k < 0:
         raise InvalidArguments(f"box sides must be integers >= 0, got j={j!r}, k={k!r}")
+    if j * k > MAX_BOX_AREA:
+        raise SizeCapExceeded(f"box area {j}*{k} exceeds the cap {MAX_BOX_AREA}")
+    j, k = min(j, k), max(j, k)
     # row[b] counts partitions into at most `parts` parts, each at most b
     row = [[1] for _ in range(j + 1)]
     for parts in range(1, k + 1):

@@ -187,6 +187,17 @@ def test_decode_checks_the_conditions_once(monkeypatch):
     assert str(by_decode.value) == str(by_validate.value)
 
 
+def test_a_billion_copies_are_counted_and_checked_without_a_copy():
+    """The plan holds block letters and masses, never copies, so
+    validate_code and code_count answer at once on a class of 10^9 + 1
+    words."""
+    alpha = MultiplicityVector((10**9, 1))
+    u = Relation.from_pairs(2, [(2, 1)])
+    assert code_count(u, alpha) == class_size(alpha) == 10**9 + 1
+    with pytest.raises(InvalidCode, match="partition 2 must have 1000000000 parts, got 1"):
+        validate_code(u, alpha, BCode(((0,), (0,)), (0, 0)))
+
+
 def test_equal_relations_and_classes_share_one_plan():
     _block_structure.cache_clear()
     plan = _block_structure(CHAIN, ALPHA)

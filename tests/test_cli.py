@@ -351,6 +351,22 @@ def test_bcode_decode_argument_errors(capsys):
     assert "malformed code JSON" in err
 
 
+def test_bcode_decode_checks_the_code_before_any_copy(capsys):
+    """A billion copies of one letter make a plan of two blocks: the
+    code's shape is checked against the counts' block masses, so a
+    one-part partition exits 2 at once, with no copy of the block built."""
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys,
+        "bcode", "decode", "--alpha", "1000000000,1", "--edges", "2 1",
+        "--code", '{"partitions": [[0], [0]], "markers": [0, 0]}',
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert "partition 2 must have 1000000000 parts, got 1" in err
+    assert elapsed < 1, f"took {elapsed:.2f}s of its 1s budget"
+
+
 def test_verify_pass_and_fail_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "thm1", "--n", "2", "--alpha", "2,2")
     assert code == 0

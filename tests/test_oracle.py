@@ -756,12 +756,9 @@ SWEEP_CASES = [
 ]
 
 
-@pytest.mark.parametrize("counts, rule", SWEEP_CASES, ids=str)
-def test_sweep_worker_returns_the_equidistributed_live_masks(monkeypatch, counts, rule):
-    """Over all Gray ranks of the high live bits, or over two ranges joined,
-    the worker returns exactly the masks of the live bits (those some word's
-    profile reads) under which the profile-summed histograms agree, each
-    once, whether the low part covers no live bit, two, or all of them."""
+def live_bits(counts, rule):
+    """The class's per-word profiles of each statistic of the sweep
+    (Theorem 1 when rule is None), and the bits some profile reads."""
     n, alpha = len(counts), MultiplicityVector(counts)
     builders = [_inversion_profile, _major_profile]
     if rule is not None:
@@ -771,6 +768,26 @@ def test_sweep_worker_returns_the_equidistributed_live_masks(monkeypatch, counts
         for build in builders
     ]
     live = [b for b in range(n * n) if any(p[b] for rows in profiles for p in rows)]
+    return profiles, live
+
+
+@pytest.mark.parametrize("counts, rule", SWEEP_CASES, ids=str)
+def test_sweep_worker_returns_the_equidistributed_live_masks(monkeypatch, counts, rule):
+    """Over all Gray ranks of the high walked bits, or over two ranges
+    joined, the worker returns exactly the masks of the live bits (those
+    some word's profile reads) under which the profile-summed histograms
+    agree, each once, whether the low part covers no walked bit, two, or
+    all of them.  A Theorem 1 sweep with a live bit is paired: it walks all
+    but the last live bit, and the worker's masks with their complements
+    within the live bits are the equidistributed ones."""
+    profiles, live = live_bits(counts, rule)
+    paired = rule is None and bool(live)
+    walked = live[:-1] if paired else live
+    full = sum(1 << b for b in live)
+
+    def closed(masks):
+        return sorted(masks + [mask ^ full for mask in masks] if paired else masks)
+
     expected = []
     for chosen in itertools.product((0, 1), repeat=len(live)):
         bits = [b for b, bit in zip(live, chosen) if bit]
@@ -783,15 +800,47 @@ def test_sweep_worker_returns_the_equidistributed_live_masks(monkeypatch, counts
     for low in (0, 2, oracle._LOW_BITS):
         monkeypatch.setattr(oracle, "_LOW_BITS", low)
         job, count = captured_sweep(monkeypatch, counts, rule)
-        assert job[1] == live and job[2] == min(low, len(live))
-        assert count == 1 << (len(live) - job[2])
+        assert job[1] == walked and job[2] == min(low, len(walked))
+        assert count == 1 << (len(walked) - job[2])
         whole = oracle._sweep_worker(job + (0, count))
-        assert sorted(whole) == sorted(expected)
+        assert closed(whole) == sorted(expected)
         for cut in (count // 3, count // 2):
             split = oracle._sweep_worker(job + (0, cut)) + oracle._sweep_worker(
                 job + (cut, count)
             )
-            assert sorted(split) == sorted(expected)
+            assert closed(split) == sorted(expected)
+
+
+def test_only_agreeing_word_totals_pair_the_sweep(monkeypatch):
+    """The pairing is read off the profiles: every word's inv and maj
+    profiles sum to C(m, 2) over the live bits, so Theorem 1 walks one bit
+    fewer than it has live on every class with a live bit; the sorting
+    index's totals vary by word, so Theorem 2 walks every live bit."""
+    for counts in SWEPT_CLASSES:
+        _, live = live_bits(counts, None)
+        if live:
+            job, _ = captured_sweep(monkeypatch, counts, None)
+            assert job[1] == live[:-1], counts
+    for counts in [(2, 1), (1, 1, 2)]:
+        for rule in TIE_RULES:
+            _, live = live_bits(counts, rule)
+            job, _ = captured_sweep(monkeypatch, counts, rule)
+            assert job[1] == live, (counts, rule)
+
+
+def test_paired_ranks_split_over_two_workers(monkeypatch, pool_starts):
+    """A paired Theorem 1 sweep cut into two shards of its Gray ranks
+    reports what the serial sweep reports."""
+    monkeypatch.setattr(oracle, "_LOW_BITS", 2)
+    for counts in [(1, 1, 2), (2, 2, 2)]:
+        n, alpha = len(counts), MultiplicityVector(counts)
+        serial = verify_theorem1(n, alpha)
+        assert pool_starts == []
+        split = verify_theorem1(n, alpha, jobs=2)
+        assert pool_starts == [2]
+        pool_starts.clear()
+        assert split.disagreements == serial.disagreements
+        assert split.relation_count == serial.relation_count
 
 
 @pytest.mark.parametrize("counts, rule", SWEEP_CASES, ids=str)
@@ -840,7 +889,8 @@ def test_column_sums_widen_their_lanes_past_a_byte():
     narrow = [(1, 0, 2), (0, 3, 0)]
     for columns, code in LANE_CASES:
         for stats in ([columns], [narrow, columns]):
-            got, packed = oracle._packed_columns(stats, 3)
+            top = max(sum(entries) for columns_of in stats for entries in zip(*columns_of))
+            got, packed = oracle._packed_columns(stats, 3, top)
             assert got == code
             for columns_of, packed_of in zip(stats, packed):
                 for chosen in itertools.product((0, 1), repeat=len(columns_of)):
@@ -848,7 +898,7 @@ def test_column_sums_widen_their_lanes_past_a_byte():
                     total = sum(packed_of[i] for i in bits)
                     expected = [sum(columns_of[i][w] for i in bits) for w in range(3)]
                     assert read_lanes(code, total, 3) == expected, (columns, bits)
-    assert oracle._packed_columns([[], []], 3) == ("B", [[], []])
+    assert oracle._packed_columns([[], []], 3, 0) == ("B", [[], []])
 
 
 @pytest.mark.parametrize("rule", [None, TIE_RIGHTMOST], ids=str)

@@ -447,15 +447,13 @@ def test_cached_plan_matches_a_fresh_derivation(case):
     plan = _block_structure(relation, alpha)
     assert plan == _block_structure.__wrapped__(relation, alpha)
     assert _block_structure(relation, alpha) is plan
-    blocks, block_of, bounds = plan
+    blocks, block_of, sizes = plan
     bp, _ = _sorting_bipartition(relation, alpha)
     assert all(x in bp.blocks[block_of[x]] for x in range(1, alpha.n + 1))
-    assert all(list(copies) == sorted(copies) for copies in blocks)
-    assert sorted(x for copies in blocks for x in copies) == sorted(
-        x for x in range(1, alpha.n + 1) for _ in range(alpha.count_of(x))
-    )
-    masses = [len(copies) for copies in blocks]
-    assert list(bounds) == [sum(masses[j + 1:]) for j in range(len(blocks))]
+    assert all(list(letters) == sorted(letters) for letters in blocks)
+    assert sorted(x for letters in blocks for x in letters) == list(range(1, alpha.n + 1))
+    masses = [sum(alpha.count_of(x) for x in letters) for letters in blocks]
+    assert list(sizes) == [(m, sum(masses[j + 1:])) for j, m in enumerate(masses)]
 
 
 @st.composite

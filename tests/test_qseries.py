@@ -179,6 +179,21 @@ def test_box_partition_counts_of_long_thin_boxes():
     assert box_partition_counts(1, 1200) == line
 
 
+def test_box_partition_counts_area_cap():
+    """The area j*k, which the table grows with, is checked before any work:
+    one past the cap raises at once on either side, as does (20000, 2),
+    whose degree 40,000 the q-series cap admits; a box at the cap is
+    computed, and conjugation makes either orientation the same."""
+    cap = qseries.MAX_BOX_AREA
+    start = time.perf_counter()
+    for j, k in ((cap + 1, 1), (1, cap + 1), (20_000, 2)):
+        with pytest.raises(SizeCapExceeded, match=str(cap)):
+            box_partition_counts(j, k)
+    assert time.perf_counter() - start < 0.5
+    assert box_partition_counts(cap, 1) == QPolynomial([1] * (cap + 1))
+    assert box_partition_counts(3, 5) == box_partition_counts(5, 3) == q_binomial(8, 3)
+
+
 def test_q_multinomial_degree_cap(monkeypatch):
     """The degree sum_{i<j} p_i p_j is checked before any work: a degree at
     the cap is computed, one above it raises."""
