@@ -381,7 +381,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         type=int,
         default=1,
         help="parallel workers for sor under copy-label-max on a class with a"
-        " repeated letter, the one case that enumerates the class",
+        " repeated letter, the one case that walks words, sharded over the"
+        " placements of the top letter's copies",
     )
     p.add_argument(
         "--max-class",

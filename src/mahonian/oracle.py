@@ -8,11 +8,12 @@ from the sorted word in layers too, merging the prefixes whose placed
 letters every later step reads alike, so it visits no word either.  Under
 copy-label-max with a repeated letter the mover depends on the copies'
 original positions, which a partly undone word does not record, so that
-one case walks the class as standardized permutations and sorts them as a
-DP over shared prefixes.  All three routes pack a distribution into one
-integer, a lane of size.bit_length() bits per power of q for a class of
-size words: no count they add up exceeds the class size, so no lane
-overflows.
+one case sorts forward as a DP over shared prefixes; the top letter's
+copies move first, so each placement of them is simulated once and joined
+with every standardized word of the lower letters.  All three routes pack
+a distribution into one integer, a lane of size.bit_length() bits per
+power of q for a class of size words: no count they add up exceeds the
+class size, so no lane overflows.
 
 The verifiers cover every relation on the alphabet (all 2^(n*n) bitmasks)
 and compare two routes, the structural predicate and equidistribution over
@@ -77,15 +78,16 @@ accepted mask whose live part the walk did not return disagrees, and so
 does each completion (with any dead bits) of a returned mask not accepted.
 
 The copy-label-max prefix DP and the sweeps share one sharded path,
-_run_sharded: the work is cut into contiguous ranges (of class ranks for a
-distribution, of the Gray-code ranks of the high live bits for a sweep),
-one per worker process and at most one per CPU, and a single range runs in
-the calling process.  Arguments are validated in the caller, and a job
-carries the validated relation's pairs, the class and the lane width, or
-for a sweep the moment form, the walked live bits, the number of low bits,
-the lane code, their packed columns and the class size (never the predicate
-set), not a description for each worker to rebuild, so no worker checks an
-argument and no sweep worker streams the class or packs a column.
+_run_sharded: the work is cut into contiguous ranges (of the combination
+ranks of the top letter's placements for a distribution, of the Gray-code
+ranks of the high live bits for a sweep), one per worker process and at
+most one per CPU, and a single range runs in the calling process.
+Arguments are validated in the caller, and a job carries the validated
+relation's pairs, the class and the lane width, or for a sweep the moment
+form, the walked live bits, the number of low bits, the lane code, their
+packed columns and the class size (never the predicate set), not a
+description for each worker to rebuild, so no worker checks an argument
+and no sweep worker streams the class or packs a column.
 """
 
 from __future__ import annotations
@@ -97,8 +99,9 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, zip_longest
-from operator import add, mul, sub
+from itertools import chain, combinations, islice, zip_longest
+from math import comb
+from operator import add, itemgetter, mul, sub
 from typing import Iterator, Sequence
 
 from .errors import AlphabetMismatch, InvalidArguments, UniverseTooLarge
@@ -291,36 +294,67 @@ def _unsort_histogram(edges, tie_rule: str, counts: tuple[int, ...], width: int)
     return packed
 
 
-_SORT_RUN = 4096  # words per run of _sorting_worker's prefix DP
+_SORT_RUN = 4096  # joined words per run of _sorting_worker's prefix DP
+
+
+def _top_runs(lower: MultiplicityVector, a: int, f: int, start: int, stop: int):
+    """Blocks of at most _SORT_RUN placements of the top letter's a copies,
+    at combination ranks [start, stop), each yielded with chunks of a walk
+    of the lower class, about _SORT_RUN joins a run.  A placement is (take,
+    passes): take reads off a lower word the prefix its steps leave, and
+    field rest - 1 - r of passes counts the copies left of lower letter r."""
+    rest, size = lower.total, class_size(lower)
+    after = [sum(1 << f * (rest - 1 - r) for r in range(g, rest)) for g in range(rest + 1)]
+    places = islice(combinations(range(rest + a), a), start, stop)
+    for _ in range(start, stop, _SORT_RUN):
+        plan = []
+        for positions in islice(places, _SORT_RUN):
+            slots = list(range(rest))
+            for h in positions:  # what a copy's place holds is never read
+                slots.insert(h, -1)
+            for i, j in zip(range(rest + a - 1, rest - 1, -1), reversed(positions)):
+                slots[j] = slots[i]  # the copy at j goes to i, the letter at i to j
+            # copy t has h - t lower letters on its left
+            passes = sum(map(after.__getitem__, map(sub, positions, range(a))))
+            plan.append((itemgetter(*slots[:rest]), passes))
+        walk, run = _standardized_range(lower, 0, size), max(1, _SORT_RUN // len(plan))
+        for _ in range(0, size, run):
+            yield plan, [tuple(v) for v in islice(walk, run)]
 
 
 def _sorting_worker(job) -> int:
-    """Copy-label-max sorting-index distribution over the class ranks
-    [start, stop), packed (see distribution), by a DP over sort prefixes.
+    """Copy-label-max sorting-index distribution over the placements of
+    the top letter's a copies at combination ranks [start, stop), packed
+    (see distribution), by a DP over sort prefixes.
 
     Word w stands for p, p[h] the letters below w_h plus the copies of w_h
     before h: its sort is the selection sort of p, whose step i moves the
     value i (a copy of ordered[i]) from j and adds its related values in
     p[j+1..i].  The rest depends only on the prefix of length i left, so a
     layer maps each prefix to the packed polynomial of the words reaching
-    it.  The first step reads each p as _standardized_range yields it; runs
-    of _SORT_RUN words share one walk, each freeing its layers before the next.
+    it.  The first a steps move the top copies right to left, each past
+    the lower letters on its right, so joined with a standardized lower
+    word v a placement (see _top_runs) leaves take(v) and gains field
+    rest - 1 of weight * passes, weight holding v's related values.
     """
     edges, alpha, width, start, stop = job
-    ordered = [x for x, a in enumerate(alpha.counts, 1) for _ in range(a)]
-    if not ordered:
+    present = [x for x, c in enumerate(alpha.counts, 1) if c]
+    if len(present) <= 1:  # one word, whose sort moves each copy onto itself
         return stop - start
+    ordered = [x for x, a in enumerate(alpha.counts, 1) for _ in range(a)]
     related = [[width * ((x, y) in edges) for y in ordered] for x in ordered]
-    last, packed, walk = len(ordered) - 1, 0, _standardized_range(alpha, start, stop)
-    for _ in range(start, stop, _SORT_RUN):
-        row, first = related[last], {}
-        for p in islice(walk, _SORT_RUN):
-            j = p.index(last)
-            gain = sum(map(row.__getitem__, p[j + 1 :]))
-            state = (*p[:j], p[last], *p[j + 1 : last]) if j < last else tuple(p[:last])
-            first[state] = first.get(state, 0) + (1 << gain)
+    a = alpha.counts[present[-1] - 1]
+    rest, lower = len(ordered) - a, MultiplicityVector(alpha.counts[: present[-1] - 1])
+    f = (width * a * rest).bit_length()  # a field of weight * passes holds its sum
+    shift, mask, packed = f * (rest - 1), (1 << f) - 1, 0
+    for plan, words in _top_runs(lower, a, f, start, stop):
+        first = {}
+        weights = [sum(related[-1][y] << f * r for r, y in enumerate(v)) for v in words]
+        for take, passes in plan:
+            for state, weight in zip(map(take, words), weights):
+                first[state] = first.get(state, 0) + (1 << (weight * passes >> shift & mask))
         layer = first.items()
-        for i in range(last - 1, 0, -1):
+        for i in range(rest - 1, 0, -1):
             row, following = related[i], {}
             for prefix, poly in layer:
                 j = prefix.index(i)
@@ -346,9 +380,10 @@ def distribution(
 
     inv and maj come from the transfer-matrix DP and sor from undoing the
     sort in layers of merged prefixes.  Only sor under copy-label-max on a
-    class with a repeated letter enumerates the class, in up to jobs worker
-    processes, merging shared sort prefixes.  The class cap applies to all
-    three.
+    class with a repeated letter walks words, those of the letters below
+    the top one, joined with the top letter's placements in up to jobs
+    worker processes and sorted on merging shared sort prefixes.  The class
+    cap applies to all three.
 
     Every route returns the polynomial packed into one integer, lane k of
     size.bit_length() bits holding the coefficient of q^k, so adding a
@@ -367,7 +402,9 @@ def distribution(
     elif tie_rule != TIE_COPY_LABEL_MAX or max(alpha.counts) <= 1:
         packed = _unsort_histogram(relation.edges, tie_rule, alpha.counts, width)
     else:
-        packed = sum(_run_sharded(_sorting_worker, (relation.edges, alpha, width), size, jobs))
+        placements = comb(alpha.total, next(a for a in reversed(alpha.counts) if a))
+        job = (relation.edges, alpha, width)
+        packed = sum(_run_sharded(_sorting_worker, job, placements, jobs))
     bits = bin(packed)[2:].zfill(-(-packed.bit_length() // width) * width)
     return QPolynomial([int(bits[i - width : i], 2) for i in range(len(bits), 0, -width)])
 

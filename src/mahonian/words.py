@@ -9,7 +9,8 @@ Everything here is exact integer arithmetic; enumeration is streaming, so the
 only guard is an explicit cap on the class size (ClassTooLarge), not memory.
 A size far past a cap is refused from its math.lgamma estimate alone.  Every
 module sizes alphabets through _check_alphabet_size, capped here.  The
-sorting worker walks the class as standardized permutations, in place.
+sorting worker walks the class of the letters below the top one as
+standardized permutations, in place.
 """
 
 from __future__ import annotations

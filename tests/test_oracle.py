@@ -288,11 +288,29 @@ def test_copy_label_max_runs_keep_memory_flat():
     assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.2f} MB of its 2 MB budget"
 
 
+def test_copy_label_max_blocks_and_runs_cut_anywhere(monkeypatch):
+    """With runs of three joins, the placements of the top letter's copies
+    come in blocks of three, each walking the lower words in chunks of one,
+    and the polynomial is still the class sorted word by word."""
+    monkeypatch.setattr(oracle, "_SORT_RUN", 3)
+    u = Relation.from_pairs(3, [(3, 1), (3, 3), (2, 1), (1, 2), (2, 3)])
+    for counts in [(2, 2, 2), (1, 0, 3), (2, 1, 2)]:
+        alpha = MultiplicityVector(counts)
+        values = Counter(
+            graphical_sorting_index(u, w, TIE_COPY_LABEL_MAX) for w in rearrangement_class(alpha)
+        )
+        expected = QPolynomial([values[k] for k in range(max(values) + 1)])
+        got = distribution("sor-graphical", alpha, u, tie_rule=TIE_COPY_LABEL_MAX)
+        assert got == expected, counts
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_copy_label_max_walk_builds_one_word_per_shard(monkeypatch, pool_starts, jobs):
     """The copy-label-max worker walks standardized permutations, not Words:
-    each shard unranks its first word and builds no other, where the class
-    has 2,520, and the polynomial is the public kernel summed over it."""
+    each shard of the 28 placements of the top letter's copies unranks its
+    first lower word, of the 90 words of (2,2,2), and builds no other, where
+    the class has 2,520, and the polynomial is the public kernel summed
+    over it."""
     import mahonian.words as words_module
 
     alpha = MultiplicityVector((2, 2, 2, 2))
@@ -345,18 +363,18 @@ def test_sor_distributions_of_a_long_word():
 
 
 def test_unsorting_matches_the_sorted_class_under_every_small_relation():
-    """The sor distribution from the merged prefixes equals the class sorted
-    word by word under every relation on n <= 2 with counts 0..3, and under
-    all 512 relations on four classes of three letters, (1,0,2) with an
-    absent letter, which no signature reads: under rightmost and leftmost
-    always, and under every rule when no letter repeats."""
+    """The sor distribution equals the class sorted word by word under
+    every relation on n <= 2 with counts 0..3, and under all 512 relations
+    on five classes of three letters, (1,0,2) with an absent letter, which
+    no signature reads, and (2,2,1) and (1,2,2) with two repeated letters:
+    under every rule, whether it comes from the merged prefixes or, under
+    copy-label-max with a repeated letter, from the placed top copies."""
     classes = [counts for n in (1, 2) for counts in itertools.product(range(4), repeat=n)]
-    classes += [(1, 1, 1), (2, 1, 1), (1, 0, 2), (2, 2, 1)]
+    classes += [(1, 1, 1), (2, 1, 1), (1, 0, 2), (2, 2, 1), (1, 2, 2)]
     for counts in classes:
         alpha = MultiplicityVector(counts)
         words = list(rearrangement_class(alpha))
-        rules = TIE_RULES if max(counts) <= 1 else (TIE_RIGHTMOST, TIE_LEFTMOST)
-        for relation, rule in itertools.product(relation_universe(alpha.n), rules):
+        for relation, rule in itertools.product(relation_universe(alpha.n), TIE_RULES):
             values = Counter(graphical_sorting_index(relation, w, rule) for w in words)
             expected = QPolynomial([values[k] for k in range(max(values) + 1)])
             got = distribution("sor-graphical", alpha, relation, tie_rule=rule)
@@ -436,7 +454,7 @@ def test_lanes_hold_a_whole_class(pool_starts, counts):
     the empty relation every word scores 0, and under the full one every
     word has inv = maj = C(m, 2), so one lane holds the whole class on each
     route: the DP, the undone sort under rightmost and leftmost, and the
-    copy-label-max enumeration in one shard and in two."""
+    copy-label-max placements in one shard and in two."""
     alpha = MultiplicityVector(counts)
     size = class_size(alpha)
     empty, full = relation_from_mask(2, 0), relation_from_mask(2, 15)
@@ -843,6 +861,34 @@ def test_paired_ranks_split_over_two_workers(monkeypatch, pool_starts):
         assert split.relation_count == serial.relation_count
 
 
+def test_sweeps_ship_their_shards_to_worker_processes(monkeypatch):
+    """With two low bits, every Theorem 1 and Theorem 2 sweep of (1,1,2)
+    and (2,2,2) hands _run_sharded more than one rank, so at jobs=2 a real
+    process pool runs the pickled jobs, and the reports are the serial
+    ones."""
+    monkeypatch.setattr(oracle, "_LOW_BITS", 2)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    ranks, real = [], oracle._run_sharded
+
+    def recorded(worker, job, count, jobs):
+        ranks.append(count)
+        return real(worker, job, count, jobs)
+
+    monkeypatch.setattr(oracle, "_run_sharded", recorded)
+
+    def report(sweep, n, alpha, jobs):
+        payload = sweep(n, alpha, jobs=jobs).to_json_dict()
+        del payload["elapsed_seconds"]
+        return payload
+
+    for counts in [(1, 1, 2), (2, 2, 2)]:
+        n, alpha = len(counts), MultiplicityVector(counts)
+        for sweep in (verify_theorem1, verify_theorem2):
+            ranks.clear()
+            assert report(sweep, n, alpha, 2) == report(sweep, n, alpha, 1)
+            assert len(ranks) == 2 and ranks[0] > 1, (counts, sweep.__name__, ranks)
+
+
 @pytest.mark.parametrize("counts, rule", SWEEP_CASES, ids=str)
 def test_exact_check_histograms_match_the_public_kernels(monkeypatch, counts, rule):
     """Under every live mask, each statistic's exact-check values from the
@@ -979,7 +1025,7 @@ def test_worker_count_is_clamped(monkeypatch, pool_starts):
         report = verify_theorem2(2, alpha, tie_rule=TIE_LEFTMOST, jobs=jobs)
         assert started == [workers]
         assert report.disagreements == serial.disagreements
-    # three words make at most three shards
+    # three placements of the top letter make at most three shards
     u = Relation.from_pairs(2, [(2, 1), (1, 1)])
     started.clear()
     assert distribution("sor-graphical", alpha, u, jobs=10**9) == distribution(

@@ -9,13 +9,15 @@ relations, the sweep's incrementally tracked second-moment form against
 moments computed directly, the complement identity, the inv/maj
 distribution DP and the undone sort behind the sor distribution against the
 class scored word by word and against the closed forms, the copy-label-max
-prefix DP against shards sorted word by word, its walk of standardized
-permutations against the ranged class, and the Gaussian
+prefix DP against the words of a shard of its top-letter placements
+sorted one by one, its walk of standardized permutations against the
+ranged class, and the Gaussian
 multinomial's product formula against box-partition counts and the DP."""
 
 from collections import Counter
 from functools import partial
-from itertools import permutations, product
+from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -667,17 +669,39 @@ def sorting_shards(draw):
     return relation, alpha, a, b
 
 
+def top_copies(alpha):
+    """The largest letter present (0 in an empty class) and its count."""
+    top = max((x for x, c in enumerate(alpha.counts, 1) if c), default=0)
+    return top, alpha.counts[top - 1] if top else 0
+
+
+@st.composite
+def placement_shards(draw):
+    """A relation and a class as sorting_shards draws them, and a range
+    [a, b) of the combination ranks of the positions its top letter's
+    copies may take."""
+    relation, alpha, _, _ = draw(sorting_shards())
+    placements = comb(alpha.total, top_copies(alpha)[1])
+    a = draw(st.integers(0, placements))
+    b = draw(st.integers(a, placements))
+    return relation, alpha, a, b
+
+
 @settings(max_examples=150, deadline=None)
-@given(sorting_shards())
+@given(placement_shards())
 def test_prefix_dp_matches_the_sorted_shard(case):
     """The copy-label-max worker's DP over sort prefixes, on any shard of
-    the class, packs the same lanes as the shard sorted word by word with
-    the public kernel."""
+    the placements of the top letter's copies, packs the same lanes as the
+    public kernel summed over the words whose top-letter positions have a
+    combination rank in the shard."""
     relation, alpha, a, b = case
     width = class_size(alpha).bit_length()
+    top, copies = top_copies(alpha)
+    ranks = {p: k for k, p in enumerate(combinations(range(alpha.total), copies))}
     expected = sum(
         1 << graphical_sorting_index(relation, word, TIE_COPY_LABEL_MAX) * width
-        for word in rearrangement_class_range(alpha, a, b)
+        for word in rearrangement_class(alpha)
+        if a <= ranks[tuple(h for h, x in enumerate(word.letters) if x == top)] < b
     )
     assert oracle._sorting_worker((relation.edges, alpha, width, a, b)) == expected
 
