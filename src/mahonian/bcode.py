@@ -17,6 +17,12 @@ leftward displacements and the decode can replay them; the other tie rules
 break this (their codes are not invertible), which is why the rule is fixed
 rather than an argument.
 
+Under the conditions the relation is a bipartition into runs of consecutive
+letters, largest first, plus perhaps loops on letters occurring once.  So a
+step's relation-driven count is its move distance, less the block-mate copies
+passed when the top letter of a two-letter block moves.  Encode reads it so:
+neither encode nor decode reads the edges or runs the sort of ``statistics``.
+
 Extra requirements beyond the sorting conditions: every letter of the
 alphabet must occur, and the last block must also be thin (at most two
 distinct letters, the larger one unique).  A fat block has more internal
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 
 from .errors import ConditionsNotSatisfied, InvalidCode
 from .relations import Relation, _sorting_bipartition
-from .statistics import TIE_RIGHTMOST, _contribution, _sort_moves
+from .statistics import TIE_RIGHTMOST
 from .words import MultiplicityVector, Word, infer_alpha
 
 BCODE_TIE_RULE = TIE_RIGHTMOST
@@ -127,28 +133,39 @@ def _block_structure(
 
 
 def bcode_encode(relation: Relation, word) -> BCode:
-    """Code of a word: sorted per-block step contributions plus markers."""
+    """Code of a word: sorted per-block step contributions, each read off
+    its move distance (see the module docstring), plus markers.  The word is
+    walked reversed, so the rightmost copy left of the sorted tail is one
+    list.index away."""
     if isinstance(word, Word):
         letters, alpha = word.letters, word.alpha
     else:
         letters = tuple(word)
         alpha = infer_alpha(letters, relation.n)
-    blocks, block_of, _ = _block_structure(relation, alpha)
-
-    contributions: list[list[int]] = [[] for _ in blocks]
-    markers = [0] * len(blocks)
-    for j, i, work in _sort_moves(letters, BCODE_TIE_RULE):
-        b = block_of[work[j]]
-        if not contributions[b] and len(blocks[b]) == 2:
-            # top letter's position among the block's copies, read just
-            # before the block's first step
-            subword = [x for x in work if block_of[x] == b]
-            markers[b] = subword.index(blocks[b][1]) + 1
-        contributions[b].append(_contribution(relation.edges, j, i, work))
-    partitions = tuple(
-        tuple(sorted(block_contribs, reverse=True)) for block_contribs in contributions
-    )
-    return BCode(partitions, tuple(markers))
+    blocks, _, _ = _block_structure(relation, alpha)
+    counts = alpha.counts
+    work = list(reversed(letters))
+    i = 0  # work[:i] is the sorted tail, reversed; it is never read again
+    partitions, markers = [], []
+    for block in blocks:
+        low = block[0]
+        parts, marker = [], 0
+        if len(block) == 2:  # the top letter occurs once and moves first
+            j = work.index(block[1], i)
+            passed = work[i:j].count(low)
+            parts.append(j - i - passed)
+            marker = counts[low - 1] - passed + 1
+            work[j] = work[i]
+            i += 1
+        for _ in range(counts[low - 1]):
+            j = work.index(low, i)
+            parts.append(j - i)
+            work[j] = work[i]
+            i += 1
+        parts.sort(reverse=True)
+        partitions.append(tuple(parts))
+        markers.append(marker)
+    return BCode(tuple(partitions), tuple(markers))
 
 
 def validate_code(relation: Relation, alpha: MultiplicityVector, code: BCode) -> None:
@@ -163,25 +180,27 @@ def validate_code(relation: Relation, alpha: MultiplicityVector, code: BCode) ->
 def _check_code(
     blocks: tuple[tuple[int, ...], ...], sizes: tuple[tuple[int, int], ...], code: BCode
 ) -> None:
+    if not isinstance(code, BCode):
+        raise InvalidCode(f"a code must be a BCode, got {type(code).__name__}")
     if len(code.partitions) != len(blocks):
         raise InvalidCode(
             f"expected {len(blocks)} partitions, got {len(code.partitions)}"
         )
-    for j, (part, letters, (mass, bound)) in enumerate(zip(code.partitions, blocks, sizes)):
-        label = j + 1
+    checked = zip(code.partitions, code.markers, blocks, sizes)
+    for label, (part, marker, letters, (mass, bound)) in enumerate(checked, 1):
+        # every letter occurs, so a part of the right length is nonempty
         if len(part) != mass:
             raise InvalidCode(
                 f"partition {label} must have {mass} parts, got {len(part)}"
             )
-        if any(p < 0 for p in part):
+        if min(part) < 0:
             raise InvalidCode(f"partition {label} has a negative part")
-        if any(part[t] < part[t + 1] for t in range(len(part) - 1)):
+        if list(part) != sorted(part, reverse=True):
             raise InvalidCode(f"partition {label} is not nonincreasing: {part}")
-        if part and part[0] > bound:
+        if part[0] > bound:
             raise InvalidCode(
                 f"partition {label} has part {part[0]} exceeding the bound {bound}"
             )
-        marker = code.markers[j]
         if len(letters) == 2:
             if not 1 <= marker <= mass:
                 raise InvalidCode(
@@ -191,11 +210,6 @@ def _check_code(
             raise InvalidCode(
                 f"marker {label} must be 0 for a one-letter block, got {marker}"
             )
-
-
-def _swap_left(word: list[int], pos: int, distance: int) -> None:
-    if distance:
-        word[pos - distance], word[pos] = word[pos], word[pos - distance]
 
 
 def bcode_decode(relation: Relation, alpha: MultiplicityVector, code: BCode) -> Word:
@@ -217,10 +231,11 @@ def bcode_decode(relation: Relation, alpha: MultiplicityVector, code: BCode) -> 
         for x in blocks[j]:
             word += [x] * alpha.counts[x - 1]
         p = code.markers[j]  # 0 exactly for a one-letter block, once checked
-        for t, distance in enumerate(parts[: p - 1] + parts[p:] if p else parts):
-            _swap_left(word, base + t, distance)
+        for pos, distance in enumerate(parts[: p - 1] + parts[p:] if p else parts, base):
+            word[pos - distance], word[pos] = word[pos], word[pos - distance]
         if p:
-            _swap_left(word, len(word) - 1, parts[p - 1] + len(parts) - p)
+            pos, distance = len(word) - 1, parts[p - 1] + len(parts) - p
+            word[pos - distance], word[pos] = word[pos], word[pos - distance]
     # the replay only swaps the blocks' copies, which hold alpha's multiset
     return Word(tuple(word), alpha)
 

@@ -1,6 +1,7 @@
 """The block code: a bijection between a class and bounded partition tuples."""
 
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -26,6 +27,7 @@ from mahonian import (
     make_word,
     natural_order,
     rearrangement_class,
+    relation_from_mask,
     validate_code,
 )
 from mahonian.bcode import _PLAN_CACHE_SIZE, _block_structure
@@ -148,6 +150,15 @@ def test_code_rejects_non_iterables():
             BCode(partitions, markers)
     with pytest.raises(InvalidCode):
         BCode.from_json_dict({"partitions": [1, 2], "markers": [0, 0]})
+
+
+def test_only_a_bcode_is_checked_or_decoded():
+    data = BCode(((4, 2, 1, 1), (1,), (0, 0, 0)), (3, 0, 2)).to_json_dict()
+    for code in (data, ((4, 2, 1, 1), (1,), (0, 0, 0)), None):
+        with pytest.raises(InvalidCode, match="a code must be a BCode"):
+            validate_code(CHAIN, ALPHA, code)
+        with pytest.raises(InvalidCode, match="a code must be a BCode"):
+            bcode_decode(CHAIN, ALPHA, code)
 
 
 def test_decode_checks_the_conditions_once(monkeypatch):
@@ -330,3 +341,31 @@ def test_other_tie_rules_break_the_bijection():
             assert encode_under_rule(relation, w, TIE_RIGHTMOST) == bcode_encode(
                 relation, w
             )
+
+
+def test_code_matches_the_naive_sort_on_every_small_relation():
+    """Every relation on n <= 3 letters and every class with counts 1..3
+    that the code accepts: encode equals the block bookkeeping over the naive
+    rightmost sort, which reads the relation's edges, decode inverts it, and
+    every code round-trips."""
+    pairs = words = 0
+    for n in range(1, 4):
+        for counts in product(range(1, 4), repeat=n):
+            alpha = MultiplicityVector(counts)
+            for mask in range(1 << (n * n)):
+                relation = relation_from_mask(n, mask)
+                try:
+                    size = code_count(relation, alpha)
+                except ConditionsNotSatisfied:
+                    continue
+                pairs += 1
+                for word in rearrangement_class(alpha):
+                    code = bcode_encode(relation, word)
+                    assert code == encode_under_rule(relation, word, TIE_RIGHTMOST)
+                    assert bcode_decode(relation, alpha, code) == word
+                    words += 1
+                codes = list(enumerate_codes(relation, alpha))
+                assert len(codes) == size
+                for code in codes:
+                    assert bcode_encode(relation, bcode_decode(relation, alpha, code)) == code
+    assert (pairs, words) == (156, 8128)

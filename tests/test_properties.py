@@ -15,7 +15,7 @@ ranged class, and the Gaussian
 multinomial's product formula against box-partition counts and the DP."""
 
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -26,7 +26,9 @@ from hypothesis import strategies as st
 import mahonian.oracle as oracle
 
 from mahonian import (
+    BCode,
     EssentialWitness,
+    InvalidCode,
     MultiplicityVector,
     OrderedBipartition,
     QPolynomial,
@@ -42,6 +44,7 @@ from mahonian import (
     code_count,
     complement,
     distribution,
+    effective_core,
     enumerate_codes,
     equidistributed,
     from_ordered_bipartition,
@@ -406,7 +409,8 @@ def qualifying_cases(draw):
     a class it codes: the letters n..1 cut into consecutive descending blocks
     of one or two letters, the larger letter of a two-letter block occurring
     once and every other letter one to three times, the class at most 2,000
-    words."""
+    words.  Some letters occurring once may carry a loop: the only edges
+    outside the bipartition that the conditions allow."""
     n = draw(st.integers(1, 5))
     blocks = []
     top = n
@@ -419,6 +423,9 @@ def qualifying_cases(draw):
     while class_size(MultiplicityVector(tuple(counts))) > 2000:
         counts[counts.index(max(counts))] -= 1
     relation = from_ordered_bipartition(OrderedBipartition(blocks, [0] * len(blocks)))
+    singles = [x for x in range(1, n + 1) if counts[x - 1] == 1]
+    loops = draw(st.sets(st.sampled_from(singles))) if singles else set()
+    relation = Relation(n, relation.edges | {(x, x) for x in loops})
     return relation, MultiplicityVector(tuple(counts))
 
 
@@ -440,6 +447,78 @@ def test_bcode_round_trips_on_qualifying_relations(case, data):
     assert len(codes) == size
     for code in data.draw(st.lists(st.sampled_from(codes), min_size=1, max_size=5)):
         assert bcode_encode(relation, bcode_decode(relation, alpha, code)) == code
+
+
+def first_code_fault(blocks, sizes, code):
+    """The message of the first rule a code breaks, None for a valid code:
+    the checks and their order as bcode_decode has always made them, with
+    each rule spelled out term by term."""
+    if len(code.partitions) != len(blocks):
+        return f"expected {len(blocks)} partitions, got {len(code.partitions)}"
+    for j, (part, letters, (mass, bound)) in enumerate(zip(code.partitions, blocks, sizes)):
+        label = j + 1
+        if len(part) != mass:
+            return f"partition {label} must have {mass} parts, got {len(part)}"
+        if any(p < 0 for p in part):
+            return f"partition {label} has a negative part"
+        if any(part[t] < part[t + 1] for t in range(len(part) - 1)):
+            return f"partition {label} is not nonincreasing: {part}"
+        if part and part[0] > bound:
+            return f"partition {label} has part {part[0]} exceeding the bound {bound}"
+        marker = code.markers[j]
+        if len(letters) == 2:
+            if not 1 <= marker <= mass:
+                return f"marker {label} must be between 1 and {mass}, got {marker}"
+        elif marker != 0:
+            return f"marker {label} must be 0 for a one-letter block, got {marker}"
+    return None
+
+
+WORKED_U = from_ordered_bipartition(
+    OrderedBipartition((frozenset({4, 5}), frozenset({3}), frozenset({1, 2})), (0, 0, 0))
+)
+WORKED_ALPHA = MultiplicityVector((2, 1, 1, 3, 1))
+
+
+@cache
+def worked_codes():
+    return list(enumerate_codes(WORKED_U, WORKED_ALPHA))
+
+
+@st.composite
+def perturbed_codes(draw):
+    """A valid code of the worked class with one to three edits: a part
+    dropped, appended or changed, or a marker changed."""
+    codes = worked_codes()
+    code = codes[draw(st.integers(0, len(codes) - 1))]
+    parts = [list(part) for part in code.partitions]
+    markers = list(code.markers)
+    for _ in range(draw(st.integers(1, 3))):
+        j = draw(st.integers(0, len(parts) - 1))
+        edit = draw(st.sampled_from(["drop", "append", "part", "marker"]))
+        if edit == "drop" and parts[j]:
+            parts[j].pop(draw(st.integers(0, len(parts[j]) - 1)))
+        elif edit == "append":
+            parts[j].append(draw(st.integers(-2, 7)))
+        elif edit == "part" and parts[j]:
+            parts[j][draw(st.integers(0, len(parts[j]) - 1))] = draw(st.integers(-2, 7))
+        elif edit == "marker":
+            markers[j] = draw(st.integers(-1, 6))
+    return BCode(parts, markers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_codes())
+def test_decode_reports_the_first_broken_code_rule(code):
+    blocks, _, sizes = _block_structure(WORKED_U, WORKED_ALPHA)
+    fault = first_code_fault(blocks, sizes, code)
+    if fault is None:
+        word = bcode_decode(WORKED_U, WORKED_ALPHA, code)
+        assert bcode_encode(WORKED_U, word) == code
+    else:
+        with pytest.raises(InvalidCode) as err:
+            bcode_decode(WORKED_U, WORKED_ALPHA, code)
+        assert str(err.value) == fault
 
 
 @settings(max_examples=100, deadline=None)
@@ -646,8 +725,9 @@ def test_unsorting_matches_the_sorted_class(case):
 @settings(max_examples=100, deadline=None)
 @given(qualifying_cases())
 def test_unsorting_matches_the_closed_form(case):
+    # the closed form reads the bipartition, which the class's loops hide
     relation, alpha = case
-    closed = gf_sorting(alpha, to_ordered_bipartition(relation))
+    closed = gf_sorting(alpha, to_ordered_bipartition(effective_core(relation, alpha)))
     got = distribution("sor-graphical", alpha, relation, tie_rule=TIE_RIGHTMOST)
     assert got == closed
 
