@@ -30,7 +30,10 @@ arrangements than marker values, so no code of this shape can distinguish
 its words.
 
 The class's block structure is derived and checked once per (relation,
-multiplicity vector), and the last 32 are kept.
+multiplicity vector), and the last 32 are kept.  ``BCode(...)``,
+``BCode.from_json_dict``, ``validate_code`` and ``bcode_decode`` check a
+code; ``bcode_encode`` and ``enumerate_codes`` build theirs unchecked, from
+ints they computed themselves.
 """
 
 from __future__ import annotations
@@ -51,7 +54,9 @@ _PLAN_CACHE_SIZE = 32
 
 @dataclass(frozen=True)
 class BCode:
-    """One bounded partition and one marker per block, first block first."""
+    """One bounded partition and one marker per block, first block first.
+    BCode(...) and from_json_dict check its ints; _of, for bcode_encode and
+    enumerate_codes, does not.  validate_code checks it against a class."""
 
     partitions: tuple[tuple[int, ...], ...]
     markers: tuple[int, ...]
@@ -72,6 +77,14 @@ class BCode:
             # type() rather than isinstance(): bool is an int subclass
             if type(value) is not int:
                 raise InvalidCode(f"code entries must be integers, got {value!r}")
+
+    @classmethod
+    def _of(cls, partitions: tuple, markers: tuple) -> "BCode":
+        """A code from tuples of ints the caller made itself, unchecked."""
+        code = object.__new__(cls)
+        object.__setattr__(code, "partitions", partitions)
+        object.__setattr__(code, "markers", markers)
+        return code
 
     def total(self) -> int:
         """Sum of all parts; equals the word's sorting index."""
@@ -94,13 +107,14 @@ class BCode:
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _block_structure(
     relation: Relation, alpha: MultiplicityVector
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """The class's code plan: each block's letters, ascending (so it has two
-    letters when the ends differ, and its top letter is the last), the block
-    of each letter (indexed by letter), and each block's mass with the total
-    mass after it.  Masses come from the counts, so no plan holds a copy:
-    a code's shape is checked before any per-copy work.  Only successes are
-    cached, so a failing class raises, with fresh reasons, on every call."""
+) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The class's code plan, one record per block, first block first:
+    (low, top, copies, mass, bound).  low is the block's smaller letter,
+    top its larger one (0 for a one-letter block; it occurs once), copies
+    the count of low, mass the block's total count and bound the total
+    count after it.  All are counts, so no plan holds a copy: a code's
+    shape is checked before any per-copy work.  Only successes are cached,
+    so a failing class raises, with fresh reasons, on every call."""
     bp, reasons = _sorting_bipartition(relation, alpha)
     ok = not reasons
     for x in range(1, alpha.n + 1):
@@ -121,15 +135,14 @@ def _block_structure(
             )
     if reasons:
         raise ConditionsNotSatisfied(reasons)
-    blocks = tuple(tuple(sorted(block)) for block in bp.blocks)
-    block_of = [0] * (alpha.n + 1)  # slot 0 unused
-    for j, block in enumerate(blocks):
-        for x in block:
-            block_of[x] = j
-    masses = [sum(map(alpha.count_of, block)) for block in blocks]
     # every letter occurs, so the blocks' copies make up the whole word
-    bounds = (alpha.total - done for done in itertools.accumulate(masses))
-    return blocks, tuple(block_of), tuple(zip(masses, bounds))
+    plan, bound = [], alpha.total
+    for block in bp.blocks:
+        low, top = min(block), (max(block) if len(block) == 2 else 0)
+        mass = sum(map(alpha.count_of, block))
+        bound -= mass
+        plan.append((low, top, alpha.count_of(low), mass, bound))
+    return tuple(plan)
 
 
 def bcode_encode(relation: Relation, word) -> BCode:
@@ -142,22 +155,19 @@ def bcode_encode(relation: Relation, word) -> BCode:
     else:
         letters = tuple(word)
         alpha = infer_alpha(letters, relation.n)
-    blocks, _, _ = _block_structure(relation, alpha)
-    counts = alpha.counts
     work = list(reversed(letters))
     i = 0  # work[:i] is the sorted tail, reversed; it is never read again
     partitions, markers = [], []
-    for block in blocks:
-        low = block[0]
+    for low, top, copies, _, _ in _block_structure(relation, alpha):
         parts, marker = [], 0
-        if len(block) == 2:  # the top letter occurs once and moves first
-            j = work.index(block[1], i)
+        if top:  # it occurs once and moves first
+            j = work.index(top, i)
             passed = work[i:j].count(low)
             parts.append(j - i - passed)
-            marker = counts[low - 1] - passed + 1
+            marker = copies - passed + 1
             work[j] = work[i]
             i += 1
-        for _ in range(counts[low - 1]):
+        for _ in range(copies):
             j = work.index(low, i)
             parts.append(j - i)
             work[j] = work[i]
@@ -165,7 +175,7 @@ def bcode_encode(relation: Relation, word) -> BCode:
         parts.sort(reverse=True)
         partitions.append(tuple(parts))
         markers.append(marker)
-    return BCode(tuple(partitions), tuple(markers))
+    return BCode._of(tuple(partitions), tuple(markers))
 
 
 def validate_code(relation: Relation, alpha: MultiplicityVector, code: BCode) -> None:
@@ -173,35 +183,31 @@ def validate_code(relation: Relation, alpha: MultiplicityVector, code: BCode) ->
     the class: partition j has one part per copy in block j, nonincreasing,
     parts at most the later blocks' total multiplicity; markers are 0 for
     one-letter blocks and a copy position for two-letter blocks."""
-    blocks, _, sizes = _block_structure(relation, alpha)
-    _check_code(blocks, sizes, code)
+    _check_code(_block_structure(relation, alpha), code)
 
 
-def _check_code(
-    blocks: tuple[tuple[int, ...], ...], sizes: tuple[tuple[int, int], ...], code: BCode
-) -> None:
+def _check_code(plan: tuple[tuple[int, int, int, int, int], ...], code: BCode) -> None:
     if not isinstance(code, BCode):
         raise InvalidCode(f"a code must be a BCode, got {type(code).__name__}")
-    if len(code.partitions) != len(blocks):
-        raise InvalidCode(
-            f"expected {len(blocks)} partitions, got {len(code.partitions)}"
-        )
-    checked = zip(code.partitions, code.markers, blocks, sizes)
-    for label, (part, marker, letters, (mass, bound)) in enumerate(checked, 1):
+    if len(code.partitions) != len(plan):
+        raise InvalidCode(f"expected {len(plan)} partitions, got {len(code.partitions)}")
+    checked = zip(code.partitions, code.markers, plan)
+    for label, (part, marker, (_, top, _, mass, bound)) in enumerate(checked, 1):
         # every letter occurs, so a part of the right length is nonempty
         if len(part) != mass:
             raise InvalidCode(
                 f"partition {label} must have {mass} parts, got {len(part)}"
             )
-        if min(part) < 0:
+        ordered = sorted(part, reverse=True)
+        if ordered[-1] < 0:
             raise InvalidCode(f"partition {label} has a negative part")
-        if list(part) != sorted(part, reverse=True):
+        if ordered != list(part):
             raise InvalidCode(f"partition {label} is not nonincreasing: {part}")
         if part[0] > bound:
             raise InvalidCode(
                 f"partition {label} has part {part[0]} exceeding the bound {bound}"
             )
-        if len(letters) == 2:
+        if top:
             if not 1 <= marker <= mass:
                 raise InvalidCode(
                     f"marker {label} must be between 1 and {mass}, got {marker}"
@@ -222,19 +228,20 @@ def bcode_decode(relation: Relation, alpha: MultiplicityVector, code: BCode) -> 
     move the small copies, and the top letter finally moves left by its part
     plus the number of copies that sat right of it, undoing its head start.
     """
-    blocks, _, sizes = _block_structure(relation, alpha)
-    _check_code(blocks, sizes, code)
+    plan = _block_structure(relation, alpha)
+    _check_code(plan, code)
     word: list[int] = []
-    for j in range(len(blocks) - 1, -1, -1):
-        parts = code.partitions[j]  # one per copy of the block, once checked
+    # once checked: one part per copy, marker 0 exactly for one-letter blocks
+    replayed = zip(reversed(plan), reversed(code.partitions), reversed(code.markers))
+    for (low, top, copies, mass, _), parts, p in replayed:
         base = len(word)
-        for x in blocks[j]:
-            word += [x] * alpha.counts[x - 1]
-        p = code.markers[j]  # 0 exactly for a one-letter block, once checked
+        word += [low] * copies
+        if top:
+            word.append(top)
         for pos, distance in enumerate(parts[: p - 1] + parts[p:] if p else parts, base):
             word[pos - distance], word[pos] = word[pos], word[pos - distance]
         if p:
-            pos, distance = len(word) - 1, parts[p - 1] + len(parts) - p
+            pos, distance = len(word) - 1, parts[p - 1] + mass - p
             word[pos - distance], word[pos] = word[pos], word[pos - distance]
     # the replay only swaps the blocks' copies, which hold alpha's multiset
     return Word(tuple(word), alpha)
@@ -251,23 +258,21 @@ def _bounded_partitions(length: int, bound: int):
 
 def enumerate_codes(relation: Relation, alpha: MultiplicityVector):
     """All valid codes for the class, in a fixed deterministic order."""
-    blocks, _, sizes = _block_structure(relation, alpha)
-    part_choices = [tuple(_bounded_partitions(mass, bound)) for mass, bound in sizes]
+    plan = _block_structure(relation, alpha)
+    part_choices = [tuple(_bounded_partitions(mass, bound)) for *_, mass, bound in plan]
     marker_choices = [
-        tuple(range(1, mass + 1)) if len(letters) == 2 else (0,)
-        for letters, (mass, _) in zip(blocks, sizes)
+        tuple(range(1, mass + 1)) if top else (0,) for _, top, _, mass, _ in plan
     ]
     for partitions in itertools.product(*part_choices):
         for markers in itertools.product(*marker_choices):
-            yield BCode(partitions, markers)
+            yield BCode._of(partitions, markers)
 
 
 def code_count(relation: Relation, alpha: MultiplicityVector) -> int:
     """Number of valid codes; matches the size of the rearrangement class."""
-    blocks, _, sizes = _block_structure(relation, alpha)
     total = 1
-    for letters, (mass, bound) in zip(blocks, sizes):
+    for _, top, _, mass, bound in _block_structure(relation, alpha):
         total *= math.comb(bound + mass, mass)
-        if len(letters) == 2:
+        if top:
             total *= mass
     return total

@@ -26,6 +26,7 @@ from .qseries import gf_bipartitional, gf_sorting
 from .relations import (
     OrderedBipartition,
     Relation,
+    _check_same_alphabet,
     effective_core,
     is_essentially_bipartitional,
     natural_order,
@@ -117,8 +118,8 @@ def _resolve_alpha(args) -> MultiplicityVector:
 def _resolve_word(args, missing: str, *, nonempty: bool = False):
     """The relation and the word of --word.  The alphabet size comes from
     --n, then --alpha, then the word's largest letter.  With --alpha the word
-    is checked against that class and comes back as a Word, otherwise as its
-    bare letters."""
+    and the relation are checked against that class and the word comes back
+    as a Word, otherwise as its bare letters."""
     if args.word is None:
         raise InvalidArguments(missing)
     alpha = None if args.alpha is None else MultiplicityVector.parse(args.alpha)
@@ -129,6 +130,8 @@ def _resolve_word(args, missing: str, *, nonempty: bool = False):
     if n is None and letters:
         n = max(1, *letters)
     relation = _resolve_relation(args, n)
+    if alpha:
+        _check_same_alphabet(relation, alpha)
     return relation, make_word(letters, alpha) if alpha else letters
 
 

@@ -174,7 +174,9 @@ def _run_sharded(worker, job: tuple, count: int, jobs: int) -> list:
     so a large jobs value never starts more processes than the machine has
     CPUs; with a single shard the worker runs in this process.
     """
-    workers = min(jobs, os.cpu_count() or 1, count)
+    workers = min(jobs, count)
+    if workers > 1:  # the CPU count reads sysfs, so serial runs skip it
+        workers = min(workers, os.cpu_count() or 1)
     batches = [
         job + (count * t // workers, count * (t + 1) // workers)
         for t in range(workers)

@@ -31,6 +31,7 @@ from mahonian import (
     validate_code,
 )
 from mahonian.bcode import _PLAN_CACHE_SIZE, _block_structure
+from mahonian.relations import _sorting_bipartition
 
 CHAIN = from_ordered_bipartition(
     OrderedBipartition(
@@ -142,6 +143,37 @@ def test_validate_code_rejects_malformed_codes():
         BCode(((1,),), (False,))
     with pytest.raises(InvalidCode):
         bcode_decode(CHAIN, ALPHA, BCode(((4, 2, 2), (1,), (0, 0, 0)), (3, 0, 2)))
+
+
+def test_library_codes_need_no_recheck(monkeypatch):
+    """bcode_encode and enumerate_codes build their codes without the
+    public constructor's check, and every one of them is a code the check
+    accepts: equal, with the same hash, to the publicly built code."""
+    lifted = from_ordered_bipartition(
+        OrderedBipartition((frozenset({3}), frozenset({1, 2})), (0, 0))
+    )
+    cases = [(CHAIN, ALPHA), (lifted, MultiplicityVector((3, 1, 2)))]
+    built = []
+    with monkeypatch.context() as patched:
+
+        def refuse(self):
+            raise AssertionError("BCode checked a code the library built")
+
+        patched.setattr(BCode, "__post_init__", refuse)
+        for relation, alpha in cases:
+            assert len(_sorting_bipartition(relation, alpha)[0].blocks[-1]) == 2
+            encoded = [bcode_encode(relation, w) for w in rearrangement_class(alpha)]
+            listed = list(enumerate_codes(relation, alpha))
+            assert len(set(encoded)) == len(listed) == class_size(alpha)
+            built += [(relation, alpha, code) for code in encoded + listed]
+    for relation, alpha, code in built:
+        public = BCode(code.partitions, code.markers)
+        assert code == public and hash(code) == hash(public)
+        validate_code(relation, alpha, code)
+    with pytest.raises(InvalidCode):
+        BCode(((1.9,),), (0,))
+    with pytest.raises(InvalidCode):
+        BCode(((1,),), (False,))
 
 
 def test_code_rejects_non_iterables():
@@ -293,8 +325,11 @@ def test_code_json_round_trip():
 def encode_under_rule(relation, word, rule):
     """bcode_encode's block bookkeeping over a naive selection sort that moves
     the copy the rule picks: the rightmost, the leftmost, or under
-    copy-label-max the one with the largest original position."""
-    blocks, block_of, _ = _block_structure(relation, word.alpha)
+    copy-label-max the one with the largest original position.  The blocks
+    come from the sorting conditions' bipartition, not from the code plan."""
+    bp, _ = _sorting_bipartition(relation, word.alpha)
+    blocks = [sorted(block) for block in bp.blocks]
+    block_of = {x: b for b, block in enumerate(blocks) for x in block}
     work = [(x, label) for label, x in enumerate(word.letters)]
     contributions = [[] for _ in blocks]
     markers = [0] * len(blocks)

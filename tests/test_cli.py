@@ -94,6 +94,17 @@ def test_stats_validates_word_against_alpha(capsys):
     assert "usage: mahonian stats" in err
 
 
+def test_stats_rejects_a_relation_on_another_alphabet(capsys):
+    """--alpha names the class the relation scores, as in dist, check and
+    bcode: a relation on 1..2 against a class on 1..3 is an input error."""
+    code, out, err = run(
+        capsys, "stats", "--word", "12", "--n", "2", "--edges", "2 1",
+        "--alpha", "1,1,0",
+    )
+    assert (code, out) == (2, "")
+    assert "relation is on 1..2 but alpha has n=3" in err
+
+
 def test_stats_rejects_an_empty_alpha(capsys):
     code, out, err = run(
         capsys, "stats", "--word", "21", "--alpha", "", "--relation", "natural",

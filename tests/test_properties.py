@@ -449,6 +449,16 @@ def test_bcode_round_trips_on_qualifying_relations(case, data):
         assert bcode_encode(relation, bcode_decode(relation, alpha, code)) == code
 
 
+def bipartition_sizes(relation, alpha):
+    """Each block's letters, ascending, and its (mass, bound): the mass of
+    its letters and of the blocks after it, read off the sorting conditions'
+    bipartition rather than the cached code plan."""
+    bp, _ = _sorting_bipartition(relation, alpha)
+    blocks = [sorted(block) for block in bp.blocks]
+    masses = [sum(alpha.count_of(x) for x in letters) for letters in blocks]
+    return blocks, [(m, sum(masses[j + 1:])) for j, m in enumerate(masses)]
+
+
 def first_code_fault(blocks, sizes, code):
     """The message of the first rule a code breaks, None for a valid code:
     the checks and their order as bcode_decode has always made them, with
@@ -510,8 +520,7 @@ def perturbed_codes(draw):
 @settings(max_examples=300, deadline=None)
 @given(perturbed_codes())
 def test_decode_reports_the_first_broken_code_rule(code):
-    blocks, _, sizes = _block_structure(WORKED_U, WORKED_ALPHA)
-    fault = first_code_fault(blocks, sizes, code)
+    fault = first_code_fault(*bipartition_sizes(WORKED_U, WORKED_ALPHA), code)
     if fault is None:
         word = bcode_decode(WORKED_U, WORKED_ALPHA, code)
         assert bcode_encode(WORKED_U, word) == code
@@ -528,13 +537,14 @@ def test_cached_plan_matches_a_fresh_derivation(case):
     plan = _block_structure(relation, alpha)
     assert plan == _block_structure.__wrapped__(relation, alpha)
     assert _block_structure(relation, alpha) is plan
-    blocks, block_of, sizes = plan
-    bp, _ = _sorting_bipartition(relation, alpha)
-    assert all(x in bp.blocks[block_of[x]] for x in range(1, alpha.n + 1))
-    assert all(list(letters) == sorted(letters) for letters in blocks)
+    blocks, sizes = bipartition_sizes(relation, alpha)
+    # one record per block: its letters, ascending, low's copies, and sizes
+    assert [[low] + [top] * (top > 0) for low, top, *_ in plan] == blocks
+    assert all(top == 0 or low < top for low, top, *_ in plan)
     assert sorted(x for letters in blocks for x in letters) == list(range(1, alpha.n + 1))
-    masses = [sum(alpha.count_of(x) for x in letters) for letters in blocks]
-    assert list(sizes) == [(m, sum(masses[j + 1:])) for j, m in enumerate(masses)]
+    assert [copies for _, _, copies, _, _ in plan] == [alpha.count_of(low) for low, *_ in plan]
+    assert all(top == 0 or alpha.count_of(top) == 1 for _, top, *_ in plan)
+    assert [(mass, bound) for *_, mass, bound in plan] == sizes
 
 
 @st.composite
