@@ -128,7 +128,7 @@ from .words import (
     _check_class,
     _check_int,
     _packed_residual,
-    _standardized_range,
+    _standardized_class,
     class_size,
     rearrangement_class,
 )
@@ -146,17 +146,19 @@ def _resolve(stat: str, alpha: MultiplicityVector, relation) -> tuple[str, Relat
     relation it is scored under.
 
     Classical ids always use the strict natural order on the class's own
-    alphabet; the graphical ids require an explicit relation.
+    alphabet; the graphical ids require an explicit relation.  A relation
+    given on another alphabet is refused either way.
     """
     if stat not in STAT_IDS:
         raise InvalidArguments(
             f"unknown statistic {stat!r}, expected one of {STAT_IDS}"
         )
+    if relation is not None:
+        _check_same_alphabet(relation, alpha)
     if not stat.endswith("-graphical"):
         return stat, natural_order(alpha.n)
     if relation is None:
         raise InvalidArguments(f"statistic {stat} needs a relation")
-    _check_same_alphabet(relation, alpha)
     return stat[: -len("-graphical")], relation
 
 
@@ -299,13 +301,34 @@ def _unsort_histogram(edges, tie_rule: str, counts: tuple[int, ...], width: int)
 _SORT_RUN = 4096  # joined words per run of _sorting_worker's prefix DP
 
 
-def _top_runs(lower: MultiplicityVector, a: int, f: int, start: int, stop: int):
-    """Blocks of at most _SORT_RUN placements of the top letter's a copies,
-    at combination ranks [start, stop), each yielded with chunks of a walk
-    of the lower class, about _SORT_RUN joins a run.  A placement is (take,
-    passes): take reads off a lower word the prefix its steps leave, and
-    field rest - 1 - r of passes counts the copies left of lower letter r."""
-    rest, size = lower.total, class_size(lower)
+def _sorting_worker(job) -> int:
+    """Copy-label-max sorting-index distribution over the placements of
+    the top letter's a copies at combination ranks [start, stop), packed
+    (see distribution), by a DP over sort prefixes.
+
+    Word w stands for p, p[h] the letters below w_h plus the copies of w_h
+    before h: its sort is the selection sort of p, whose step i moves the
+    value i (a copy of ordered[i]) from j and adds its related values in
+    p[j+1..i].  The rest depends only on the prefix of length i left, so a
+    layer maps each prefix to the packed polynomial of the words reaching
+    it.  The first a steps move the top copies right to left, each past
+    the lower letters on its right.  So a placement is (take, passes):
+    joined with a standardized lower word v it leaves the prefix take(v)
+    and gains field rest - 1 of weight * passes, where field r of weight
+    holds the related value of v[r] and field rest - 1 - r of passes
+    counts the copies left of it.  Blocks of at most _SORT_RUN placements
+    each join chunks of the lower class's walk, about _SORT_RUN joins a run.
+    """
+    edges, alpha, width, start, stop = job
+    present = [x for x, c in enumerate(alpha.counts, 1) if c]
+    if len(present) <= 1:  # one word, whose sort moves each copy onto itself
+        return stop - start
+    ordered = [x for x, a in enumerate(alpha.counts, 1) for _ in range(a)]
+    related = [[width * ((x, y) in edges) for y in ordered] for x in ordered]
+    a = alpha.counts[present[-1] - 1]
+    rest, lower = len(ordered) - a, MultiplicityVector(alpha.counts[: present[-1] - 1])
+    f = (width * a * rest).bit_length()  # a field of weight * passes holds its sum
+    shift, mask, packed = f * (rest - 1), (1 << f) - 1, 0
     after = [sum(1 << f * (rest - 1 - r) for r in range(g, rest)) for g in range(rest + 1)]
     places = islice(combinations(range(rest + a), a), start, stop)
     for _ in range(start, stop, _SORT_RUN):
@@ -319,52 +342,23 @@ def _top_runs(lower: MultiplicityVector, a: int, f: int, start: int, stop: int):
             # copy t has h - t lower letters on its left
             passes = sum(map(after.__getitem__, map(sub, positions, range(a))))
             plan.append((itemgetter(*slots[:rest]), passes))
-        walk, run = _standardized_range(lower, 0, size), max(1, _SORT_RUN // len(plan))
-        for _ in range(0, size, run):
-            yield plan, [tuple(v) for v in islice(walk, run)]
-
-
-def _sorting_worker(job) -> int:
-    """Copy-label-max sorting-index distribution over the placements of
-    the top letter's a copies at combination ranks [start, stop), packed
-    (see distribution), by a DP over sort prefixes.
-
-    Word w stands for p, p[h] the letters below w_h plus the copies of w_h
-    before h: its sort is the selection sort of p, whose step i moves the
-    value i (a copy of ordered[i]) from j and adds its related values in
-    p[j+1..i].  The rest depends only on the prefix of length i left, so a
-    layer maps each prefix to the packed polynomial of the words reaching
-    it.  The first a steps move the top copies right to left, each past
-    the lower letters on its right, so joined with a standardized lower
-    word v a placement (see _top_runs) leaves take(v) and gains field
-    rest - 1 of weight * passes, weight holding v's related values.
-    """
-    edges, alpha, width, start, stop = job
-    present = [x for x, c in enumerate(alpha.counts, 1) if c]
-    if len(present) <= 1:  # one word, whose sort moves each copy onto itself
-        return stop - start
-    ordered = [x for x, a in enumerate(alpha.counts, 1) for _ in range(a)]
-    related = [[width * ((x, y) in edges) for y in ordered] for x in ordered]
-    a = alpha.counts[present[-1] - 1]
-    rest, lower = len(ordered) - a, MultiplicityVector(alpha.counts[: present[-1] - 1])
-    f = (width * a * rest).bit_length()  # a field of weight * passes holds its sum
-    shift, mask, packed = f * (rest - 1), (1 << f) - 1, 0
-    for plan, words in _top_runs(lower, a, f, start, stop):
-        first = {}
-        weights = [sum(related[-1][y] << f * r for r, y in enumerate(v)) for v in words]
-        for take, passes in plan:
-            for state, weight in zip(map(take, words), weights):
-                first[state] = first.get(state, 0) + (1 << (weight * passes >> shift & mask))
-        layer = first.items()
-        for i in range(rest - 1, 0, -1):
-            row, following = related[i], {}
-            for prefix, poly in layer:
-                j = prefix.index(i)
-                gain = sum(map(row.__getitem__, prefix[j + 1 :]))
-                state = prefix[:j] + prefix[i:] + prefix[j + 1 : i] if j < i else prefix[:i]
-                following[state] = following.get(state, 0) + (poly << gain)
-            layer = following.items()
-        packed += sum(poly for _, poly in layer)
+        walk, run = _standardized_class(lower), max(1, _SORT_RUN // len(plan))
+        while words := [tuple(v) for v in islice(walk, run)]:
+            first = {}
+            weights = [sum(related[-1][y] << f * r for r, y in enumerate(v)) for v in words]
+            for take, passes in plan:
+                for state, weight in zip(map(take, words), weights):
+                    first[state] = first.get(state, 0) + (1 << (weight * passes >> shift & mask))
+            layer = first.items()
+            for i in range(rest - 1, 0, -1):
+                row, following = related[i], {}
+                for prefix, poly in layer:
+                    j = prefix.index(i)
+                    gain = sum(map(row.__getitem__, prefix[j + 1 :]))
+                    state = prefix[:j] + prefix[i:] + prefix[j + 1 : i] if j < i else prefix[:i]
+                    following[state] = following.get(state, 0) + (poly << gain)
+                layer = following.items()
+            packed += sum(poly for _, poly in layer)
     return packed
 
 

@@ -56,14 +56,8 @@ DEFAULT_TIE_RULE = TIE_COPY_LABEL_MAX
 DEFAULT_MAX_CHAIN_TOTAL = 12
 
 
-def _letters_of(word) -> tuple[int, ...]:
-    if isinstance(word, Word):
-        return word.letters
-    return tuple(word)
-
-
 def _checked_letters(n: int, word) -> tuple[int, ...]:
-    letters = _letters_of(word)
+    letters = word.letters if isinstance(word, Word) else tuple(word)
     for x in letters:
         if type(x) is not int or not 1 <= x <= n:
             raise AlphabetMismatch(
@@ -168,21 +162,15 @@ def _contribution(edges, j, i, work) -> int:
     return total
 
 
-def _sorting_index(edges, letters, tie_rule) -> int:
-    """The sort scored against the edge set; the rule and the letters are
-    the caller's to check."""
-    return sum(
-        _contribution(edges, j, i, work)
-        for j, i, work in _sort_moves(letters, tie_rule)
-    )
-
-
 def graphical_sorting_index(
     relation: Relation, word, tie_rule: str = DEFAULT_TIE_RULE
 ) -> int:
     _check_rule(tie_rule)
     letters = _checked_letters(relation.n, word)
-    return _sorting_index(relation.edges, letters, tie_rule)
+    return sum(
+        _contribution(relation.edges, j, i, work)
+        for j, i, work in _sort_moves(letters, tie_rule)
+    )
 
 
 def graphical_sorting_trace(

@@ -10,7 +10,7 @@ only guard is an explicit cap on the class size (ClassTooLarge), not memory.
 A size far past a cap is refused from its math.lgamma estimate alone.  Every
 module sizes alphabets through _check_alphabet_size, capped here.  The
 sorting worker walks the class of the letters below the top one as
-standardized permutations, in place.
+standardized permutations, in place, from the sorted word on.
 """
 
 from __future__ import annotations
@@ -208,10 +208,7 @@ def rearrangement_class(
 
 
 def unrank_word(alpha: MultiplicityVector, index: int) -> Word:
-    """Return the index-th word (0-based) of the lexicographic enumeration.
-
-    Used to partition the stream by index ranges for parallel consumers.
-    """
+    """Return the index-th word (0-based) of the lexicographic enumeration."""
     total = class_size(alpha)
     if type(index) is not int or not 0 <= index < total:
         raise InvalidArguments(f"index {index!r} is not an integer in 0..{total - 1}")
@@ -250,15 +247,14 @@ def rearrangement_class_range(
         yield Word(tuple(current), alpha)
 
 
-def _standardized_range(alpha: MultiplicityVector, start: int, stop: int) -> Iterator[list]:
-    """Yield p for each word w of rank in [start, stop), one list updated in
-    place: p[h] is the letters below w_h plus the copies of w_h before h.  A
-    step relabels from its pivot on, the copies of x taking x's top labels."""
-    if start >= stop:
-        return
-    word = list(unrank_word(alpha, start).letters)
+def _standardized_class(alpha: MultiplicityVector) -> Iterator[list]:
+    """Yield p for each word w of the class in lexicographic order, one list
+    updated in place from the sorted word on: p[h] is the letters below w_h
+    plus the copies of w_h before h.  A step relabels from its pivot on, the
+    copies of x taking x's top labels."""
+    word = [x for x, a in enumerate(alpha.counts, 1) for _ in range(a)]
     ends, p, pivot = [0, *accumulate(alpha.counts)], word[:], 0
-    for _ in range(stop - start):
+    while pivot >= 0:
         top = ends[:]
         for h in range(len(word) - 1, pivot - 1, -1):
             x = word[h]

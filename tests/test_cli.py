@@ -105,6 +105,19 @@ def test_stats_rejects_a_relation_on_another_alphabet(capsys):
     assert "relation is on 1..2 but alpha has n=3" in err
 
 
+def test_dist_rejects_a_relation_on_another_alphabet(capsys):
+    """A classical --stat scores under the natural order, yet a relation it
+    is given must still be on the class's alphabet, as for the graphical
+    stats."""
+    for stat in ("inv", "inv-graphical"):
+        code, out, err = run(
+            capsys, "dist", "--n", "2", "--edges", "2 1", "--alpha", "1,1,1",
+            "--stat", stat,
+        )
+        assert (code, out) == (2, ""), stat
+        assert "relation is on 1..2 but alpha has n=3" in err, stat
+
+
 def test_stats_rejects_an_empty_alpha(capsys):
     code, out, err = run(
         capsys, "stats", "--word", "21", "--alpha", "", "--relation", "natural",

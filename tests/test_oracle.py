@@ -91,6 +91,13 @@ def test_graphical_ids_require_a_matching_relation():
         distribution("descents", alpha)
 
 
+def test_classical_ids_reject_a_relation_on_another_alphabet():
+    """The relation a classical id is given goes unused, but one on another
+    alphabet is an input error, as for the graphical ids."""
+    with pytest.raises(AlphabetMismatch):
+        distribution("maj", MultiplicityVector((1, 1, 1)), Relation.from_pairs(2, [(2, 1)]))
+
+
 def test_sorting_distribution_checks_the_tie_rule():
     # the tie rule is checked once per call, before any word is sorted
     with pytest.raises(InvalidArguments):
@@ -173,7 +180,7 @@ def counted_calls(monkeypatch):
         (oracle, ["rearrangement_class"]),
         (statistics_module, [
             "graphical_inversions", "graphical_major_index",
-            "graphical_sorting_index", "_sorting_index", "_sort_moves",
+            "graphical_sorting_index", "_sort_moves",
         ]),
     ):
         for name in names:
@@ -307,10 +314,9 @@ def test_copy_label_max_blocks_and_runs_cut_anywhere(monkeypatch):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_copy_label_max_walk_builds_one_word_per_shard(monkeypatch, pool_starts, jobs):
     """The copy-label-max worker walks standardized permutations, not Words:
-    each shard of the 28 placements of the top letter's copies unranks its
-    first lower word, of the 90 words of (2,2,2), and builds no other, where
-    the class has 2,520, and the polynomial is the public kernel summed
-    over it."""
+    each shard of the 28 placements of the top letter's copies walks the 90
+    words of (2,2,2) from the sorted one and builds no Word, where the class
+    has 2,520, and the polynomial is the public kernel summed over it."""
     import mahonian.words as words_module
 
     alpha = MultiplicityVector((2, 2, 2, 2))
@@ -328,7 +334,7 @@ def test_copy_label_max_walk_builds_one_word_per_shard(monkeypatch, pool_starts,
     monkeypatch.setattr(words_module, "Word", CountedWord)
     got = distribution("sor", alpha, tie_rule=TIE_COPY_LABEL_MAX, jobs=jobs)
     assert got == QPolynomial([values[k] for k in range(max(values) + 1)])
-    assert len(built) <= jobs and pool_starts == ([] if jobs == 1 else [jobs])
+    assert built == [] and pool_starts == ([] if jobs == 1 else [jobs])
 
 
 def test_copy_label_max_sor_distribution_within_budget():

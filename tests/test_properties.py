@@ -69,7 +69,7 @@ from mahonian import (
 from mahonian.bcode import _block_structure
 from mahonian.relations import _sorting_bipartition
 from mahonian.statistics import _inversion_profile, _major_profile, _sorting_profile
-from mahonian.words import _standardized_range
+from mahonian.words import _standardized_class
 
 
 @st.composite
@@ -743,9 +743,9 @@ def test_unsorting_matches_the_closed_form(case):
 
 
 @st.composite
-def sorting_shards(draw):
-    """A relation on n <= 4 letters from a random mask, a class with counts
-    0..3 and at most 9 letters, and a range [a, b) of its ranks."""
+def sorting_classes(draw):
+    """A relation on n <= 4 letters from a random mask and a class with
+    counts 0..3 and at most 9 letters."""
     n = draw(st.integers(1, 4))
     relation = relation_from_mask(n, draw(st.integers(0, (1 << (n * n)) - 1)))
     counts = draw(
@@ -753,10 +753,7 @@ def sorting_shards(draw):
             lambda counts: sum(counts) <= 9
         )
     )
-    alpha = MultiplicityVector(tuple(counts))
-    a = draw(st.integers(0, class_size(alpha)))
-    b = draw(st.integers(a, class_size(alpha)))
-    return relation, alpha, a, b
+    return relation, MultiplicityVector(tuple(counts))
 
 
 def top_copies(alpha):
@@ -767,10 +764,10 @@ def top_copies(alpha):
 
 @st.composite
 def placement_shards(draw):
-    """A relation and a class as sorting_shards draws them, and a range
+    """A relation and a class as sorting_classes draws them, and a range
     [a, b) of the combination ranks of the positions its top letter's
     copies may take."""
-    relation, alpha, _, _ = draw(sorting_shards())
+    relation, alpha = draw(sorting_classes())
     placements = comb(alpha.total, top_copies(alpha)[1])
     a = draw(st.integers(0, placements))
     b = draw(st.integers(a, placements))
@@ -797,21 +794,21 @@ def test_prefix_dp_matches_the_sorted_shard(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(sorting_shards())
-@example((relation_from_mask(2, 0), MultiplicityVector((0, 0)), 0, 1))
-@example((relation_from_mask(3, 0), MultiplicityVector((2, 0, 1)), 2, 2))
+@given(sorting_classes())
+@example((relation_from_mask(2, 0), MultiplicityVector((0, 0))))
+@example((relation_from_mask(3, 0), MultiplicityVector((2, 0, 1))))
 def test_standardized_walk_matches_the_ranged_class(case):
-    """The in-place walk of standardized permutations yields, on any range
-    of ranks, the standardization of each word of the ranged class."""
-    _, alpha, a, b = case
+    """The in-place walk of standardized permutations yields, from the
+    sorted word on, the standardization of each word of the class."""
+    _, alpha = case
 
     def standardized(letters):
         return tuple(
             sum(y < x for y in letters) + letters[:h].count(x) for h, x in enumerate(letters)
         )
 
-    expected = [standardized(w.letters) for w in rearrangement_class_range(alpha, a, b)]
-    assert [tuple(p) for p in _standardized_range(alpha, a, b)] == expected
+    expected = [standardized(w.letters) for w in rearrangement_class(alpha)]
+    assert [tuple(p) for p in _standardized_class(alpha)] == expected
 
 
 @st.composite
